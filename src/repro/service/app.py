@@ -18,11 +18,11 @@ unlinked, nothing is orphaned.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
-from http.server import ThreadingHTTPServer
-
 import uuid
+from http.server import ThreadingHTTPServer
 
 from repro.bsp.parallel import ShardedBSPEngine
 from repro.graph.csr import CSRGraph
@@ -168,8 +168,12 @@ class GraphAnalyticsService:
         )
         return job
 
-    def _execute(self, job: Job) -> tuple[dict, bool]:
-        """Job-thread entry: serve from cache or compute on the warm engine."""
+    def _execute(self, job: Job) -> tuple[bytes, bool]:
+        """Job-thread entry: serve from cache or compute on the warm engine.
+
+        The result is encoded to its JSON document here, once; the cache
+        and the job record keep only those bytes, and every fetch sends them.
+        """
         tel = self.telemetry
         key = ResultCache.make_key(self.fingerprint, job.algorithm, job.params)
         hit = self.cache.get(key)
@@ -190,15 +194,18 @@ class GraphAnalyticsService:
                 "job", category="service", algorithm=job.algorithm,
                 job_id=job.job_id, trace_id=job.trace_id,
             ):
-                result = run_algorithm(
-                    job.algorithm,
-                    job.params,
-                    self.graph,
-                    engine=self.engine,
-                    num_workers=self.num_workers,
-                    telemetry=tel,
-                    metrics=self.metrics,
-                )
+                result = json.dumps(
+                    run_algorithm(
+                        job.algorithm,
+                        job.params,
+                        self.graph,
+                        engine=self.engine,
+                        num_workers=self.num_workers,
+                        telemetry=tel,
+                        metrics=self.metrics,
+                    ),
+                    separators=(",", ":"),
+                ).encode("ascii")
         except Exception as exc:
             job.trace_window = (window_start, tel.now())
             self.logger.error(
@@ -422,14 +429,11 @@ class GraphServiceHTTPServer(ThreadingHTTPServer):
 
     daemon_threads = True
 
-    def __init__(self, address, service: GraphAnalyticsService,
-                 *, verbose: bool = False) -> None:
+    def __init__(self, address, service: GraphAnalyticsService) -> None:
+        # Imported here: handlers imports this module for new_trace_id.
         from repro.service.handlers import ServiceRequestHandler
 
         self.service = service
-        #: Retained for back-compat; request logging now flows through
-        #: ``service.logger`` (verbosity is the logger's level).
-        self.verbose = verbose
         #: Set once a client or signal asked the serve loop to stop.
         self.shutdown_requested = threading.Event()
         super().__init__(address, ServiceRequestHandler)
@@ -454,8 +458,6 @@ def build_server(
     service: GraphAnalyticsService,
     host: str = "127.0.0.1",
     port: int = 8080,
-    *,
-    verbose: bool = False,
 ) -> GraphServiceHTTPServer:
     """Bind the HTTP tier to ``service`` (``port=0`` picks a free port)."""
-    return GraphServiceHTTPServer((host, port), service, verbose=verbose)
+    return GraphServiceHTTPServer((host, port), service)

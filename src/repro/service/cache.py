@@ -8,6 +8,10 @@ Canonicalization (defaults filled, keys sorted) happens at submit time
 in :mod:`repro.service.runner`, so ``{"damping": 0.85}`` and ``{}``
 share one entry.
 
+Values are the *encoded* result documents (``bytes``, serialised once on
+the job thread): a hit goes to the socket as it is, and an entry costs
+its wire size, not the several times larger list-of-objects form.
+
 Hit/miss/eviction counts are kept here and additionally surfaced as
 telemetry counters by the service app, so a Chrome trace of a serving
 session shows which jobs were recomputes.
@@ -26,7 +30,7 @@ __all__ = ["ResultCache"]
 
 
 class ResultCache:
-    """Thread-safe LRU map from cache key to JSON-safe result payload.
+    """Thread-safe LRU map from cache key to encoded result document.
 
     ``capacity`` bounds the entry count; 0 disables caching entirely
     (every lookup misses, nothing is stored).
@@ -36,7 +40,7 @@ class ResultCache:
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         self.capacity = capacity
-        self._entries: OrderedDict[str, dict[str, Any]] = OrderedDict()
+        self._entries: OrderedDict[str, bytes] = OrderedDict()
         self._lock = threading.Lock()
         self.hits: int = 0
         self.misses: int = 0
@@ -50,8 +54,8 @@ class ResultCache:
         blob = json.dumps(params, sort_keys=True, separators=(",", ":"))
         return f"{fingerprint}/{algorithm}/{blob}"
 
-    def get(self, key: str) -> dict[str, Any] | None:
-        """The cached payload (refreshing recency), or None on a miss."""
+    def get(self, key: str) -> bytes | None:
+        """The cached document (refreshing recency), or None on a miss."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -61,7 +65,7 @@ class ResultCache:
             self.hits += 1
             return entry
 
-    def put(self, key: str, value: dict[str, Any]) -> None:
+    def put(self, key: str, value: bytes) -> None:
         """Insert (or refresh) an entry, evicting the LRU tail."""
         if self.capacity == 0:
             return

@@ -139,9 +139,7 @@ def main(argv: list[str] | None = None) -> int:
         flight_recorder=False if args.no_flight_recorder else None,
         stall_timeout=args.stall_timeout if args.stall_timeout > 0 else None,
     )
-    server = build_server(
-        service, args.host, args.port, verbose=args.verbose
-    )
+    server = build_server(service, args.host, args.port)
 
     def _signal_shutdown(signum, frame):
         logger.info("serve.signal", signal=int(signum), action="draining")

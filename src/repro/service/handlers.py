@@ -35,6 +35,10 @@ POST   ``/shutdown``            202, then graceful drain and exit
 Error bodies are always ``{"error": "..."}``; malformed JSON is a 400,
 unknown routes 404, wrong methods 405.
 
+Every response is *one* socket write (:meth:`ServiceRequestHandler._send`):
+after two small writes on a keep-alive connection, Nagle holds the second
+segment until the client's delayed ACK, ~40 ms per response.
+
 Every request is *observed*: a ``trace_id`` is resolved first (the
 client's ``X-Trace-Id`` header when present, else freshly generated),
 echoed back as a response header, stamped into submitted jobs, and
@@ -50,6 +54,8 @@ from __future__ import annotations
 import json
 import time
 from http.server import BaseHTTPRequestHandler
+
+from repro.service.app import new_trace_id
 
 __all__ = ["PROMETHEUS_CONTENT_TYPE", "ServiceRequestHandler"]
 
@@ -75,6 +81,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY on every accepted connection: no later multi-write
+    #: path can bring the Nagle/delayed-ACK stall back.
+    disable_nagle_algorithm = True
 
     #: Per-request correlation id, resolved before dispatch.
     trace_id = ""
@@ -89,36 +98,44 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         # log below supersedes them, so they only surface at debug.
         self.service.logger.debug("http.server", message=format % args)
 
+    def _send(self, code: int, body: bytes, content_type: str) -> None:
+        """Write the whole response — head and body — in one socket write."""
+        self._status = code
+        if self._body_unread:  # its bytes would parse as the next request
+            self.close_connection = True
+        head = (
+            f"{self.protocol_version} {code} {self.responses[code][0]}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {self.date_time_string()}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            f"X-Trace-Id: {self.trace_id}\r\n"
+            + ("Connection: close\r\n" if self.close_connection else "")
+            + "\r\n"
+        )
+        self.wfile.write(head.encode("latin-1") + body)
+
     def _send_json(self, code: int, payload: dict) -> None:
         body = json.dumps(payload).encode("ascii")
-        self._status = code
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("X-Trace-Id", self.trace_id)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(self, code: int, text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
-        self._status = code
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("X-Trace-Id", self.trace_id)
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(code, body, "application/json")
 
     def _error(self, code: int, message: str) -> None:
         self._send_json(code, {"error": message})
 
     def _read_json_body(self) -> dict | None:
         """Parse the request body; None (after a 400/413) when invalid."""
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._error(400, "Content-Length must be a non-negative integer")
+            return None
         if length > _MAX_BODY_BYTES:
             self._error(413, "request body too large")
             return None
         raw = self.rfile.read(length) if length else b""
+        self._body_unread = False
         if not raw:
             return {}
         try:
@@ -148,14 +165,14 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 return "/debug/postmortem/<id>"
         return "<other>"
 
-    def _handle(self, method: str, dispatch) -> None:
+    def _handle(self, dispatch) -> None:
         """Dispatch one request with tracing, metrics, and logging."""
-        from repro.service.app import new_trace_id
-
         start = time.monotonic()
+        method = self.command
         self.trace_id = self.headers.get("X-Trace-Id") or new_trace_id()
         self._status = 0
         self._log_job_id = None
+        self._body_unread = self.headers.get("Content-Length", "0") != "0"
         try:
             dispatch()
         except Exception as exc:  # noqa: BLE001 - boundary: log, then 500
@@ -166,14 +183,13 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 trace_id=self.trace_id,
                 error=f"{type(exc).__name__}: {exc}",
             )
+            # A write may have stopped part-way: don't reuse the connection.
+            self.close_connection = True
             if self._status == 0:
                 try:
                     self._error(500, f"internal error: {type(exc).__name__}")
                 except OSError:  # pragma: no cover - client went away
                     pass
-            # The response stream may be mid-body; don't reuse the
-            # connection.
-            self.close_connection = True
         finally:
             latency = time.monotonic() - start
             route = self._route_template()
@@ -202,7 +218,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     # -- GET routes ------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._handle("GET", self._dispatch_get)
+        self._handle(self._dispatch_get)
 
     def _dispatch_get(self) -> None:
         path = self.path.rstrip("/") or "/"
@@ -216,8 +232,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 {"jobs": [j.to_dict() for j in self.service.jobs.list_jobs()]},
             )
         elif path == "/metrics":
-            self._send_text(
-                200, self.service.metrics_text(), PROMETHEUS_CONTENT_TYPE
+            self._send(
+                200,
+                self.service.metrics_text().encode("utf-8"),
+                PROMETHEUS_CONTENT_TYPE,
             )
         elif path == "/metrics.json":
             self._send_json(200, self.service.metrics_json())
@@ -258,44 +276,32 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         elif len(parts) == 2 and parts[1] == "trace":
             self._send_json(200, self.service.job_trace(job))
         elif len(parts) == 2 and parts[1] == "result":
-            if job.status == "done":
-                self._send_json(
-                    200,
-                    {
-                        "job_id": job.job_id,
-                        "status": job.status,
-                        "trace_id": job.trace_id,
-                        "cached": job.cached,
-                        "result": job.result,
-                    },
-                )
-            elif job.status == "failed":
-                self._send_json(
-                    500,
-                    {
-                        "job_id": job.job_id,
-                        "status": job.status,
-                        "trace_id": job.trace_id,
-                        "error": job.error,
-                    },
-                )
-            else:
-                self._send_json(
-                    409,
-                    {
-                        "job_id": job.job_id,
-                        "status": job.status,
-                        "trace_id": job.trace_id,
-                        "error": "job has not finished; poll "
-                                 f"/jobs/{job.job_id}",
-                    },
-                )
+            self._get_result(job)
         else:
             self._error(404, f"unknown path {self.path!r}")
 
+    def _get_result(self, job) -> None:
+        # Read once: a job thread may finish the job between two reads.
+        status = job.status
+        envelope = {
+            "job_id": job.job_id, "status": status, "trace_id": job.trace_id,
+        }
+        if status == "done":
+            # The result was encoded once, on the job thread: splice the
+            # envelope around those bytes, do not re-encode them.
+            envelope["cached"] = job.cached
+            head = json.dumps(envelope)[:-1].encode("ascii")
+            body = b"".join((head, b', "result": ', job.result, b"}"))
+            self._send(200, body, "application/json")
+        elif status == "failed":
+            self._send_json(500, {**envelope, "error": job.error})
+        else:
+            hint = f"job has not finished; poll /jobs/{job.job_id}"
+            self._send_json(409, {**envelope, "error": hint})
+
     # -- POST routes -----------------------------------------------------
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        self._handle("POST", self._dispatch_post)
+        self._handle(self._dispatch_post)
 
     def _dispatch_post(self) -> None:
         path = self.path.rstrip("/")
@@ -342,11 +348,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         )
 
     # Reject everything else explicitly so clients get JSON, not HTML.
-    def do_PUT(self) -> None:  # noqa: N802 - http.server API
-        self._handle("PUT", lambda: self._error(405, "method not allowed"))
+    def _method_not_allowed(self) -> None:
+        self._handle(lambda: self._error(405, "method not allowed"))
 
-    def do_DELETE(self) -> None:  # noqa: N802 - http.server API
-        self._handle("DELETE", lambda: self._error(405, "method not allowed"))
-
-    def do_PATCH(self) -> None:  # noqa: N802 - http.server API
-        self._handle("PATCH", lambda: self._error(405, "method not allowed"))
+    do_PUT = do_DELETE = do_PATCH = _method_not_allowed  # noqa: N815

@@ -74,9 +74,10 @@ def _failure_reason(exc: BaseException) -> str:
 class Job:
     """One algorithm request and its lifecycle state.
 
-    Mutable fields are only written by the owning
-    :class:`JobManager` (under its lock); handler threads read
-    snapshots via :meth:`to_dict`.
+    Mutable fields are only written by the one :class:`JobManager`
+    thread executing the job, ``status`` last (see
+    :meth:`JobManager._move`); handler threads read snapshots via
+    :meth:`to_dict`.
     """
 
     job_id: str
@@ -110,8 +111,9 @@ class Job:
     #: Flight-recorder postmortem bundle id for engine failures (fetch
     #: via ``GET /debug/postmortem/<id>``), None otherwise.
     postmortem_id: str | None = None
-    #: JSON-safe result payload once ``status == "done"``.
-    result: dict | None = None
+    #: The result's JSON document once ``status == "done"``, encoded once
+    #: on the job thread; ``/jobs/<id>/result`` wraps an envelope around it.
+    result: bytes | None = None
     #: Telemetry-clock interval covering the job's execution, set by the
     #: service app; ``GET /jobs/<id>/trace`` slices the session spans on it.
     trace_window: tuple[int, int] | None = None
@@ -133,9 +135,9 @@ class Job:
             return None
         return self.finished_at_monotonic - self.started_at_monotonic
 
-    def to_dict(self, *, include_result: bool = False) -> dict:
+    def to_dict(self) -> dict:
         """JSON-safe status view (the ``GET /jobs/<id>`` body)."""
-        out = {
+        return {
             "job_id": self.job_id,
             "algorithm": self.algorithm,
             "params": dict(self.params),
@@ -152,9 +154,6 @@ class Job:
             "traceback": self.traceback,
             "postmortem_id": self.postmortem_id,
         }
-        if include_result:
-            out["result"] = self.result
-        return out
 
 
 class JobManager:
@@ -163,7 +162,7 @@ class JobManager:
     Parameters
     ----------
     execute:
-        ``execute(job) -> (result_dict, cached)``; raising marks the
+        ``execute(job) -> (encoded_result, cached)``; raising marks the
         job ``failed`` with the exception text as :attr:`Job.error`.
     num_threads:
         Worker thread count.  More than one only helps jobs that do not
@@ -177,7 +176,7 @@ class JobManager:
 
     def __init__(
         self,
-        execute: Callable[[Job], tuple[dict, bool]],
+        execute: Callable[[Job], tuple[bytes, bool]],
         *,
         num_threads: int = 2,
         metrics: MetricsRegistry | NullMetricsRegistry = NULL_METRICS,
@@ -188,6 +187,8 @@ class JobManager:
         self._queue: queue.Queue[Any] = queue.Queue()
         self._jobs: dict[str, Job] = {}
         self._order: list[str] = []
+        #: Jobs per state (see :meth:`_move`): ``/health`` walks no table.
+        self._counts = {state: 0 for state in JOB_STATES}
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
         self._closed = False
@@ -233,6 +234,7 @@ class JobManager:
             )
             self._jobs[job.job_id] = job
             self._order.append(job.job_id)
+            self._counts["submitted"] += 1
         self.metrics.counter(
             "repro_jobs_submitted_total",
             "Jobs accepted for execution.",
@@ -255,15 +257,12 @@ class JobManager:
 
     def counts(self) -> dict[str, int]:
         """Job tallies by status (every state present, zeros included)."""
-        out = {state: 0 for state in JOB_STATES}
         with self._lock:
-            for job in self._jobs.values():
-                out[job.status] += 1
-        return out
+            return dict(self._counts)
 
     def queue_depth(self) -> int:
         """Jobs submitted but not yet picked up by a worker thread."""
-        return self.counts()["submitted"]
+        return self._counts["submitted"]
 
     def wait(self, job_id: str, timeout: float = 30.0) -> Job:
         """Poll until the job reaches a terminal state (test helper)."""
@@ -297,65 +296,58 @@ class JobManager:
             t.join(timeout=timeout)
 
     # -- worker loop -----------------------------------------------------
-    def _finish(self, job: Job) -> None:
-        """Metrics for one terminal job (runs after the state flip)."""
-        self._m_state["running"].dec()
-        self._m_state[job.status].inc()
+    def _move(self, job: Job, status: str) -> None:
+        """Flip ``job`` to ``status`` — the last write of a transition, so
+        a handler thread that sees the new status (it takes no lock) also
+        sees the stamps, result or error written before it."""
+        with self._lock:
+            self._counts[job.status] -= 1
+            self._counts[status] += 1
+            self._m_state[job.status].dec()
+            self._m_state[status].inc()
+            job.status = status
+
+    def _finish(self, job: Job, status: str) -> None:
+        """Stamp, record the metrics, flip to the terminal ``status``."""
+        job.finished_at = time.time()
+        job.finished_at_monotonic = time.monotonic()
         self.metrics.counter(
             "repro_jobs_completed_total",
             "Jobs that reached a terminal state.",
-            {"algorithm": job.algorithm, "status": job.status},
+            {"algorithm": job.algorithm, "status": status},
         ).inc()
-        if job.status == "failed":
+        if status == "failed":
             self.metrics.counter(
                 "repro_jobs_failed_total",
                 "Jobs that failed, by bounded failure classification.",
                 {"reason": job.failure_reason or "error"},
             ).inc()
-        run = job.run_seconds
-        if run is not None:
-            self.metrics.histogram(
-                "repro_job_duration_seconds",
-                "Job execution time (queue wait excluded).",
-                {"algorithm": job.algorithm},
-            ).observe(run)
+        self.metrics.histogram(
+            "repro_job_duration_seconds",
+            "Job execution time (queue wait excluded).",
+            {"algorithm": job.algorithm},
+        ).observe(job.run_seconds)
+        self._move(job, status)
 
     def _worker(self) -> None:
         while True:
             job = self._queue.get()
             if job is _STOP:
                 return
-            with self._lock:
-                job.status = "running"
-                job.started_at = time.time()
-                job.started_at_monotonic = time.monotonic()
+            job.started_at = time.time()
+            job.started_at_monotonic = time.monotonic()
+            self._move(job, "running")
             self._m_queue_depth.dec()
-            self._m_state["submitted"].dec()
-            self._m_state["running"].inc()
-            wait = job.queue_wait_seconds
-            if wait is not None:
-                self._m_queue_wait.observe(wait)
+            self._m_queue_wait.observe(job.queue_wait_seconds)
             try:
-                result, cached = self._execute(job)
+                job.result, job.cached = self._execute(job)
             except Exception as exc:
                 # Verbatim, unlimited: for engine failures this embeds
                 # the shard worker's own traceback text end to end.
-                detail = traceback.format_exc()
-                with self._lock:
-                    job.status = "failed"
-                    job.error = f"{type(exc).__name__}: {exc}"
-                    job.traceback = detail
-                    job.failure_reason = _failure_reason(exc)
-                    job.postmortem_id = getattr(exc, "postmortem_id", None)
-                    job.result = {"traceback": detail}
-                    job.finished_at = time.time()
-                    job.finished_at_monotonic = time.monotonic()
-                self._finish(job)
+                job.traceback = traceback.format_exc()
+                job.error = f"{type(exc).__name__}: {exc}"
+                job.failure_reason = _failure_reason(exc)
+                job.postmortem_id = getattr(exc, "postmortem_id", None)
+                self._finish(job, "failed")
             else:
-                with self._lock:
-                    job.status = "done"
-                    job.result = result
-                    job.cached = bool(cached)
-                    job.finished_at = time.time()
-                    job.finished_at_monotonic = time.monotonic()
-                self._finish(job)
+                self._finish(job, "done")

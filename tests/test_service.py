@@ -6,8 +6,12 @@ they exercise the exact stack ``repro serve`` runs — handler threads,
 job queue, warm-engine reuse, LRU cache, telemetry counters.
 """
 
+import contextlib
+import http.client
 import json
 import re
+import socket
+import statistics
 import threading
 import time
 import urllib.error
@@ -21,6 +25,7 @@ from repro.bsp_algorithms import (
     bsp_connected_components,
     bsp_count_triangles,
     bsp_k_core,
+    bsp_pagerank,
     bsp_sssp,
 )
 from repro.graph import from_edge_list, rmat
@@ -32,7 +37,10 @@ from repro.service import (
     build_server,
     canonicalize_params,
 )
-from repro.service.handlers import PROMETHEUS_CONTENT_TYPE
+from repro.service.handlers import (
+    PROMETHEUS_CONTENT_TYPE,
+    ServiceRequestHandler,
+)
 from repro.telemetry.metrics import NULL_METRICS
 from tests.test_metrics import assert_valid_exposition
 
@@ -84,6 +92,29 @@ class Client:
         with urllib.request.urlopen(req, timeout=30) as r:
             return r.status, dict(r.headers), json.loads(r.read())
 
+    @property
+    def address(self) -> tuple[str, int]:
+        host, port = self.base.removeprefix("http://").split(":")
+        return host, int(port)
+
+    def raw(self, request: bytes) -> bytes:
+        """Send ``request`` over a bare socket; everything until EOF."""
+        with socket.create_connection(self.address, timeout=10) as sock:
+            sock.sendall(request)
+            chunks = []
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        return b"".join(chunks)
+
+    def run_job(self, algorithm: str, params: dict) -> str:
+        """Submit, wait until done; the job id."""
+        code, sub = self.post(
+            "/jobs", {"algorithm": algorithm, "params": params}
+        )
+        assert code == 202, sub
+        assert self.wait(sub["job_id"])["status"] == "done"
+        return sub["job_id"]
+
     def wait(self, job_id: str, timeout: float = 60.0):
         """Poll the status endpoint until the job is terminal."""
         deadline = time.monotonic() + timeout
@@ -110,16 +141,25 @@ def service(graph):
     svc.close()
 
 
-@pytest.fixture(scope="module")
-def client(service):
+@contextlib.contextmanager
+def serving(service):
+    """A :class:`Client` on a live server over ``service``."""
     server = build_server(service, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
-    yield Client(f"http://{host}:{port}")
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=10)
+    try:
+        yield Client(f"http://{host}:{port}")
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+
+@pytest.fixture(scope="module")
+def client(service):
+    with serving(service) as c:
+        yield c
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +170,10 @@ def client(service):
 class TestResultCache:
     def test_lru_eviction_and_counters(self):
         cache = ResultCache(capacity=2)
-        cache.put("a", {"v": 1})
-        cache.put("b", {"v": 2})
-        assert cache.get("a") == {"v": 1}  # refreshes 'a'
-        cache.put("c", {"v": 3})           # evicts 'b' (LRU tail)
+        cache.put("a", b'{"v":1}')
+        cache.put("b", b'{"v":2}')
+        assert cache.get("a") == b'{"v":1}'  # refreshes 'a'
+        cache.put("c", b'{"v":3}')           # evicts 'b' (LRU tail)
         assert cache.get("b") is None
         assert cache.get("a") is not None
         assert cache.get("c") is not None
@@ -143,7 +183,7 @@ class TestResultCache:
 
     def test_zero_capacity_disables(self):
         cache = ResultCache(capacity=0)
-        cache.put("a", {"v": 1})
+        cache.put("a", b'{"v":1}')
         assert cache.get("a") is None
         assert len(cache) == 0
 
@@ -208,7 +248,7 @@ class TestJobManager:
         def slow(job):
             started.set()
             assert release.wait(timeout=30)
-            return {"ok": True}, False
+            return b'{"ok":true}', False
 
         mgr = JobManager(slow, num_threads=1)
         job = mgr.submit("cc", {})
@@ -227,7 +267,7 @@ class TestJobManager:
         assert mgr.get(queued.job_id).status == "done"
 
     def test_submit_order_preserved(self):
-        mgr = JobManager(lambda job: ({}, False), num_threads=1)
+        mgr = JobManager(lambda job: (b"{}", False), num_threads=1)
         try:
             ids = [mgr.submit("cc", {}).job_id for _ in range(5)]
             assert [j.job_id for j in mgr.list_jobs()] == ids
@@ -437,6 +477,240 @@ class TestServiceHTTP:
         assert code == 200
         assert len(body["jobs"]) >= 1
         assert all("job_id" in j for j in body["jobs"])
+
+
+# ---------------------------------------------------------------------------
+# The response path: one write per response, results encoded once
+# ---------------------------------------------------------------------------
+
+#: ``service.handlers.result_bytes`` of the scale-15 BFS payload at the
+#: commit before results were encoded once (perf/README.md baseline).
+_PARENT_RESULT_BYTES = 107_094
+
+
+class _RecordingWfile:
+    """Stands in for a handler's ``wfile``; notes every write."""
+
+    def __init__(self, inner, writes: list[bytes]):
+        self._inner = inner
+        self._writes = writes
+
+    def write(self, data) -> int:
+        self._writes.append(bytes(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+@pytest.fixture
+def wire(monkeypatch):
+    """What each new connection's handler does to its socket.
+
+    ``wire["writes"]`` collects every ``wfile.write`` and
+    ``wire["nodelay"]`` the ``TCP_NODELAY`` option of every accepted
+    connection, for as long as the test runs.
+    """
+    seen = {"writes": [], "nodelay": []}
+    setup = ServiceRequestHandler.setup
+
+    def recording_setup(self):
+        setup(self)
+        seen["nodelay"].append(
+            self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        )
+        self.wfile = _RecordingWfile(self.wfile, seen["writes"])
+
+    monkeypatch.setattr(ServiceRequestHandler, "setup", recording_setup)
+    return seen
+
+
+def _result_member(body: bytes) -> bytes:
+    """The bytes of the ``result`` member of a ``/result`` document."""
+    marker = b', "result": '
+    assert body.endswith(b"}") and body.count(marker) == 1
+    return body[body.index(marker) + len(marker):-1]
+
+
+class TestResponsePath:
+    @pytest.fixture(scope="class")
+    def cold_client(self, graph):
+        """A service of its own: nothing is cached before the test asks."""
+        with GraphAnalyticsService(
+            graph, num_workers=2, job_threads=1, cache_capacity=8
+        ) as svc, serving(svc) as c:
+            yield c
+
+    def test_every_route_is_one_write(self, client, wire):
+        job_id = client.run_job("bfs", {"source": 40})
+        requests = [
+            ("GET", path, None)
+            for path in (
+                "/health", "/graph", "/jobs", f"/jobs/{job_id}",
+                f"/jobs/{job_id}/result", f"/jobs/{job_id}/trace",
+                "/metrics", "/metrics.json", "/telemetry", "/trace",
+                "/debug/workers", "/debug/postmortem",
+                "/debug/postmortem/pm-no-such-bundle",     # 404
+                "/jobs/job-999999/result", "/nope",        # 404
+            )
+        ] + [
+            ("PUT", "/jobs", None),                        # 405
+            ("DELETE", f"/jobs/{job_id}", None),           # 405
+            ("POST", "/jobs",
+             b'{"algorithm": "bfs", "params": {"source": 41}}'),
+            ("POST", "/jobs", b'{"algorithm": "bfs", "params": {}}'),
+            ("POST", "/jobs", b"{not json"),
+            ("POST", "/nope", b"{}"),
+        ]
+        for method, path, payload in requests:
+            del wire["writes"][:]
+            conn = http.client.HTTPConnection(*client.address, timeout=30)
+            try:
+                conn.request(method, path, body=payload)
+                response = conn.getresponse()
+                body = response.read()
+            finally:
+                conn.close()
+            assert len(wire["writes"]) == 1, (method, path, payload)
+            head, _, sent = wire["writes"][0].partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 %d " % response.status)
+            assert sent == body, (method, path, payload)
+            assert int(response.headers["Content-Length"]) == len(body)
+
+    def test_shutdown_route_is_one_write(self, graph, wire):
+        with GraphAnalyticsService(
+            graph, num_workers=1, job_threads=1, cache_capacity=4
+        ) as svc, serving(svc) as c:
+            assert c.post("/shutdown")[0] == 202
+            assert len(wire["writes"]) == 1
+
+    def test_accepted_connection_has_nodelay(self, client, wire):
+        assert client.get("/health")[0] == 200
+        assert wire["nodelay"] and all(wire["nodelay"])
+
+    def test_keep_alive_round_trip_has_no_stall(self, client):
+        """A second small segment held for the client's delayed ACK costs
+        >= 40 ms per response; the bound leaves a 4x margin below it."""
+        conn = http.client.HTTPConnection(*client.address, timeout=30)
+        try:
+            took = []
+            for _ in range(20):
+                t0 = time.perf_counter()
+                conn.request("GET", "/health")
+                response = conn.getresponse()
+                response.read()
+                took.append(time.perf_counter() - t0)
+                assert response.status == 200
+        finally:
+            conn.close()
+        assert statistics.median(took) < 0.010, sorted(took)
+
+    @pytest.mark.parametrize(
+        "algorithm, params",
+        [
+            ("cc", {}),
+            ("bfs", {"source": 5}),
+            ("sssp", {"source": 5}),
+            ("pagerank", {"num_supersteps": 7}),
+            ("kcore", {"k": 2}),
+        ],
+    )
+    def test_result_document_and_cached_bytes(
+        self, cold_client, graph, algorithm, params
+    ):
+        client = cold_client
+        if algorithm == "cc":
+            lib = bsp_connected_components(graph)
+            values, extra = lib.labels, {"num_components": lib.num_components}
+        elif algorithm == "bfs":
+            lib = bsp_breadth_first_search(graph, 5)
+            values = lib.distances
+            extra = {"source": 5, "frontier_sizes": list(lib.frontier_sizes)}
+        elif algorithm == "sssp":
+            lib = bsp_sssp(graph, 5)
+            values, extra = lib.distances, {"source": 5}
+        elif algorithm == "pagerank":
+            lib = bsp_pagerank(graph, num_supersteps=7, num_workers=2)
+            values, extra = lib.ranks, {}
+        else:
+            lib = bsp_k_core(graph, 2)
+            values = np.asarray(lib.in_core, dtype=bool)
+            extra = {"k": 2, "core_size": int(values.sum())}
+        expect = {
+            "values": [
+                None if isinstance(v, float) and not np.isfinite(v) else v
+                for v in values.tolist()
+            ],
+            **extra,
+            "algorithm": algorithm,
+            "num_supersteps": lib.num_supersteps,
+            "messages_per_superstep": list(lib.messages_per_superstep),
+        }
+        if algorithm == "sssp":  # the graph has vertices 5 cannot reach
+            assert None in expect["values"]
+
+        first = client.run_job(algorithm, params)
+        again = client.run_job(algorithm, params)
+        _, _, fresh = client.get_raw(f"/jobs/{first}/result")
+        _, _, cached = client.get_raw(f"/jobs/{again}/result")
+        document = json.loads(fresh)
+        assert document["result"] == expect
+        assert document["job_id"] == first and document["status"] == "done"
+        assert document["cached"] is False
+        assert json.loads(cached)["cached"] is True
+        assert _result_member(cached.encode()) == _result_member(
+            fresh.encode()
+        )
+
+    def test_scale15_bfs_payload_not_larger_than_before(self):
+        big = rmat(scale=15, edge_factor=16, seed=1)
+        source = int(np.argmax(big.degrees()))
+        with GraphAnalyticsService(
+            big, num_workers=2, job_threads=1, cache_capacity=4
+        ) as svc, serving(svc) as c:
+            job_id = c.run_job("bfs", {"source": source})
+            _, _, body = c.get_raw(f"/jobs/{job_id}/result")
+        assert len(body.encode()) <= _PARENT_RESULT_BYTES
+        lib = bsp_breadth_first_search(big, source)
+        assert json.loads(body)["result"]["values"] == lib.distances.tolist()
+
+
+class TestRequestBodyFraming:
+    """``Content-Length`` is outside input: bad values are 400s, and a
+    body the server will not read must not be parsed as a request."""
+
+    @staticmethod
+    def _post(headers: bytes, body: bytes = b"") -> bytes:
+        return (
+            b"POST /jobs HTTP/1.1\r\nHost: test\r\n" + headers
+            + b"\r\n\r\n" + body
+        )
+
+    @staticmethod
+    def _statuses(stream: bytes) -> list[bytes]:
+        return re.findall(rb"HTTP/1\.1 (\d{3}) ", stream)
+
+    def test_non_integer_content_length_is_400(self, client, wire):
+        stream = client.raw(self._post(b"Content-Length: lots", b"{}"))
+        assert self._statuses(stream) == [b"400"]
+        assert len(wire["writes"]) == 1
+
+    def test_negative_content_length_is_400(self, client, wire):
+        # Before the check, rfile.read(-1) held the handler thread until
+        # the client hung up: this request would time out, not answer.
+        stream = client.raw(self._post(b"Content-Length: -1", b"{}"))
+        assert self._statuses(stream) == [b"400"]
+        assert len(wire["writes"]) == 1
+
+    def test_413_closes_the_connection(self, client, wire):
+        smuggled = b"GET /health HTTP/1.1\r\nHost: test\r\n\r\n"
+        stream = client.raw(
+            self._post(b"Content-Length: 2000000", smuggled)
+        )
+        # One response, then EOF: the unread body was not served.
+        assert self._statuses(stream) == [b"413"]
+        assert b"Connection: close" in stream
+        assert len(wire["writes"]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -664,15 +938,9 @@ class TestFailedJobPropagation:
 
     def test_failed_result_is_500_over_http(self):
         directed = from_edge_list([(0, 1), (1, 2)], directed=True)
-        svc = GraphAnalyticsService(
+        with GraphAnalyticsService(
             directed, num_workers=1, job_threads=1, cache_capacity=4
-        )
-        server = build_server(svc, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        client = Client(f"http://{host}:{port}")
-        try:
+        ) as svc, serving(svc) as client:
             code, sub = client.post(
                 "/jobs", {"algorithm": "kcore", "params": {"k": 1}}
             )
@@ -681,11 +949,6 @@ class TestFailedJobPropagation:
             code, body = client.get(f"/jobs/{sub['job_id']}/result")
             assert code == 500
             assert "undirected" in body["error"]
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)
-            svc.close()
 
 
 class TestGracefulShutdown:

@@ -2,10 +2,12 @@
 
 Starts the server on a scale-8 RMAT graph, submits ``cc`` and ``bfs``
 jobs over HTTP, asserts the served results are bit-identical to direct
-library calls on the same graph, exercises one result-cache hit,
-scrapes ``/metrics`` and validates the Prometheus exposition (format
-and the core metric families), then sends SIGTERM and verifies the
-graceful drain (exit code 0, drain log line, no orphaned processes).
+library calls on the same graph, times status polls on a keep-alive
+connection (a response split over two TCP segments stalls each one for
+~40 ms), exercises one result-cache hit, scrapes ``/metrics`` and
+validates the Prometheus exposition (format and the core metric
+families), then sends SIGTERM and verifies the graceful drain (exit code
+0, drain log line, no orphaned processes).
 This covers the process/signal path that the in-process suite
 (``tests/test_service.py``) cannot.
 
@@ -17,14 +19,17 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import re
 import signal
+import statistics
 import subprocess
 import sys
 import time
 import urllib.error
 import urllib.request
+from urllib.parse import urlsplit
 
 SERVE_ARGS = [
     "--port", "0",          # ephemeral; parsed from the startup banner
@@ -117,6 +122,33 @@ def check_metrics(base: str) -> None:
     print(f"metrics ok: {len(typed)} families, exposition valid")
 
 
+#: A poll's handler takes well under 1 ms; Nagle plus delayed ACK on a
+#: response sent as two segments costs >= 40 ms.  4x margin below that.
+POLL_MEDIAN_LIMIT_S = 0.010
+
+
+def check_poll_latency(base: str, job_id: str, polls: int = 20) -> None:
+    """Median ``GET /jobs/<id>`` round trip on one keep-alive connection."""
+    conn = http.client.HTTPConnection(urlsplit(base).netloc, timeout=30)
+    try:
+        took = []
+        for _ in range(polls):
+            t0 = time.perf_counter()
+            conn.request("GET", f"/jobs/{job_id}")
+            response = conn.getresponse()
+            response.read()
+            took.append(time.perf_counter() - t0)
+            assert response.status == 200, response.status
+    finally:
+        conn.close()
+    median = statistics.median(took)
+    assert median <= POLL_MEDIAN_LIMIT_S, (
+        f"keep-alive poll median {median * 1e3:.1f} ms exceeds "
+        f"{POLL_MEDIAN_LIMIT_S * 1e3:.0f} ms: is the response one write?"
+    )
+    print(f"poll ok: median {median * 1e3:.2f} ms, {polls} keep-alive polls")
+
+
 def _wait_job(base: str, job_id: str, timeout: float = 120.0) -> dict:
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -175,6 +207,7 @@ def main(argv: list[str] | None = None) -> int:
         assert cc_res["result"]["num_components"] == cc_lib.num_components
         print(f"cc ok: {cc_lib.num_components} components, "
               f"{cc_lib.num_supersteps} supersteps")
+        check_poll_latency(base, cc_res["job_id"])
 
         bfs_res = _submit_and_fetch(base, "bfs", {"source": 0})
         bfs_lib = bsp_breadth_first_search(graph, 0)
@@ -202,8 +235,15 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     finally:
         if proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=30)
+            # A check failed.  SIGTERM first, so the server still drains
+            # and its shard workers and shared memory are released; a
+            # bare SIGKILL orphans them.
+            proc.terminate()
+            try:
+                proc.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait(timeout=30)
 
 
 if __name__ == "__main__":
