@@ -1,24 +1,27 @@
-"""Direction-optimized BFS and byte-packed wire framing.
+"""Frontier-adaptive BFS and byte-packed wire framing.
 
 Two performance claims from the frontier work, both gated by the bench
 ledger:
 
-* **Direction optimization** — the pre-frontier BFS always swept the
-  whole arc array top-down and materialized the inbox every superstep.
-  The adaptive run switches to sparse selections on small frontiers and
-  to bottom-up past the apex, with bit-identical distances and modeled
-  message counts — only wall time and performed arc scans change.
+* **Frontier adaptation** — the pre-frontier BFS always swept the whole
+  arc array and materialized the inbox every superstep.  The adaptive
+  run switches to sparse selections on small frontiers and never reads
+  the inbox (it filters the engine's receiver set), with bit-identical
+  distances and modeled message counts — only wall time changes.
 * **Wire framing** — the sharded engine's byte-packed sender frames
   replace whole-object pickling on the worker pipes;
   :attr:`~repro.bsp.parallel.ShardedBSPEngine.pipe_bytes` records the
-  bytes actually crossing the pipes under each codec.  Raw byte counts
-  are asserted inline (packed < pickled) but kept out of the ledger
-  payload: the pickled frames embed worker counters whose integer
+  bytes actually crossing the pipes under each codec.  Every superstep
+  is made to fan out for this comparison (at ledger scale the engine
+  would otherwise keep them all in the parent and ship no frames).  Raw
+  byte counts are asserted inline (packed < pickled) but kept out of the
+  ledger payload: the pickled frames embed worker counters whose integer
   encodings drift a few bytes run to run, which would trip the exact
   gate.  The gated metric is the noisy ``packed_fraction`` ratio.
 """
 
 import time
+from unittest import mock
 
 from _emit import emit_bench
 from conftest import once
@@ -26,7 +29,12 @@ from conftest import once
 import numpy as np
 
 from repro.analysis.report import format_seconds
-from repro.bsp import DenseBSPEngine, FrontierPolicy, ShardedBSPEngine
+from repro.bsp import (
+    DenseBSPEngine,
+    FrontierPolicy,
+    ShardedBSPEngine,
+    parallel,
+)
 from repro.bsp_algorithms import DenseBreadthFirstSearch
 
 #: Timing repetitions per strategy (min is reported — the ledger gates
@@ -35,16 +43,13 @@ REPS = 3
 
 
 class _EagerBFS(DenseBreadthFirstSearch):
-    """Pre-frontier execution: top-down with an eagerly delivered inbox.
+    """Pre-frontier execution: an eagerly delivered inbox.
 
     Reading ``ctx.messages`` forces the payload gather and combiner fold
     the lazy inbox otherwise skips; paired with a dense-forced policy
     this reproduces the engine's per-superstep work before the frontier
     abstraction (results are bit-identical either way).
     """
-
-    def __init__(self, source):
-        super().__init__(source, direction="top-down")
 
     def compute(self, ctx):
         if ctx.superstep > 0:
@@ -57,46 +62,45 @@ def bench_frontier(benchmark, workload, capsys):
     source = int(np.argmax(graph.degrees()))
 
     def timed(make_engine, make_program):
-        best, result, program = np.inf, None, None
+        best, result = np.inf, None
         for _ in range(REPS):
             program = make_program()
             with make_engine() as engine:
                 t0 = time.perf_counter()
                 result = engine.run(program)
                 best = min(best, time.perf_counter() - t0)
-        return best, result, program
+        return best, result
 
     def run():
         # Legacy execution: full-mask selection, eager delivery.
-        t_legacy, legacy, _ = timed(
+        t_legacy, legacy = timed(
             lambda: DenseBSPEngine(
                 graph, frontier_policy=FrontierPolicy(mode="dense")
             ),
             lambda: _EagerBFS(source),
         )
-        # Adaptive execution: GBBS mode switch + Beamer direction switch.
-        t_adaptive, adaptive, adaptive_program = timed(
+        # Adaptive execution: GBBS mode switch, inbox never read.
+        t_adaptive, adaptive = timed(
             lambda: DenseBSPEngine(graph),
             lambda: DenseBreadthFirstSearch(source),
         )
         # Wire framing: the same BFS over 2 workers under each codec.
         pipe_bytes = {}
         sharded_values = {}
-        for wire in ("packed", "pickle"):
-            with ShardedBSPEngine(
-                graph, num_workers=2, wire=wire
-            ) as engine:
-                sharded = engine.run(DenseBreadthFirstSearch(source))
-                pipe_bytes[wire] = engine.pipe_bytes
-                sharded_values[wire] = sharded.values
+        with mock.patch.object(parallel, "_LOCAL_SUPERSTEP_ARCS", 0):
+            for wire in ("packed", "pickle"):
+                with ShardedBSPEngine(
+                    graph, num_workers=2, wire=wire
+                ) as engine:
+                    sharded = engine.run(DenseBreadthFirstSearch(source))
+                    pipe_bytes[wire] = engine.pipe_bytes
+                    sharded_values[wire] = sharded.values
         return (
-            legacy, adaptive, adaptive_program,
-            t_legacy, t_adaptive, pipe_bytes, sharded_values,
+            legacy, adaptive, t_legacy, t_adaptive, pipe_bytes, sharded_values,
         )
 
     (
-        legacy, adaptive, adaptive_program,
-        t_legacy, t_adaptive, pipe_bytes, sharded_values,
+        legacy, adaptive, t_legacy, t_adaptive, pipe_bytes, sharded_values,
     ) = once(benchmark, run)
 
     # Same computation under every execution strategy, not merely the
@@ -111,14 +115,9 @@ def bench_frontier(benchmark, workload, capsys):
 
     speedup = t_legacy / t_adaptive
     packed_fraction = pipe_bytes["packed"] / pipe_bytes["pickle"]
-    scanned = adaptive_program.edges_scanned
     info = dict(
         supersteps=adaptive.num_supersteps,
         messages=sum(adaptive.messages_per_superstep),
-        bottom_up_supersteps=adaptive_program.direction_history.count(
-            "bottom-up"
-        ),
-        edges_scanned=dict(scanned),
         packed_fraction=round(packed_fraction, 4),
         seconds={
             "legacy": round(t_legacy, 4),
@@ -142,9 +141,7 @@ def bench_frontier(benchmark, workload, capsys):
         print(
             f"\nfrontier (BFS, scale {workload.config.scale}): legacy "
             f"{format_seconds(t_legacy)} -> adaptive "
-            f"{format_seconds(t_adaptive)} ({speedup:.1f}x, "
-            f"{info['bottom_up_supersteps']} bottom-up supersteps, "
-            f"{scanned['bottom-up']:,} arcs scanned); pipe "
+            f"{format_seconds(t_adaptive)} ({speedup:.1f}x); pipe "
             f"{pipe_bytes['pickle']:,} B pickled -> "
             f"{pipe_bytes['packed']:,} B packed "
             f"({1 / packed_fraction:.2f}x fewer)"

@@ -26,7 +26,9 @@ Command tuples carried (shapes shared by both codecs):
   pickles this frame's body.
 * ``("scatter", generation, senders, mode)`` /
   ``("gather", generation, senders, mode)`` — per superstep; ``senders``
-  is an int64 id array, ``mode`` a :mod:`repro.bsp.frontier` name.
+  is an int64 id array, ``mode`` a :mod:`repro.bsp.frontier` name.  A
+  gather frame's array is empty: the worker delivers the selection it
+  cached at the scatter of the same ``generation``.
 * ``("close",)``
 * ``("ok", *ints)`` — worker replies; every element is int-coercible.
 * ``("error", text)`` — worker traceback.

@@ -26,8 +26,8 @@ combiner-fused scatter/gather:
   computed — it is what the paper's Fig. 2/Fig. 3 reproductions price —
   but the payload gather + combine fold only executes if the program
   actually reads ``ctx.messages``.  Programs that can update state from
-  the receiver set alone (direction-optimizing BFS) skip the delivered
-  work entirely while their modeled counts stay bit-identical.
+  the receiver set alone (BFS) skip the delivered work entirely while
+  their modeled counts stay bit-identical.
 
 The engine mirrors the reference engine's control flow step for step —
 active-set selection (receivers ∪ not-halted), vote-to-halt semantics,
@@ -156,8 +156,7 @@ class DenseSuperstepContext:
         """Record a program-side telemetry counter for this superstep.
 
         No-op when telemetry is disabled; never affects results or the
-        modeled work trace.  Used e.g. by direction-optimizing BFS to
-        report its ``direction`` and ``edges_scanned`` per superstep.
+        modeled work trace.
         """
         tel = self._engine.telemetry
         if tel.enabled:
@@ -562,6 +561,12 @@ class DenseBSPEngine:
         self._pending_raw = 0
         self._pending_hist = None
 
+    def _flood_arcs(self, senders: np.ndarray) -> int:
+        """Arcs out of ``senders``: the pre-fold size of their flood."""
+        if not senders.size:
+            return 0
+        return int(self.graph.degrees()[senders].sum())
+
     def _choose_mode(self, senders: np.ndarray, frontier_arcs: int) -> str:
         """Frontier representation for one sender set (policy + counter)."""
         mode = self.frontier_policy.choose(
@@ -607,7 +612,7 @@ class DenseBSPEngine:
             return empty_inbox, np.empty(0, dtype=np.int64), 0
 
         if self._pending_sel is None:  # resumed run: no prior scatter
-            raw = int(graph.degrees()[senders].sum())
+            raw = self._flood_arcs(senders)
             mode = self._choose_mode(senders, raw)
             self._pending_sel = select_arcs(senders, graph.row_ptr, mode)
             self._pending_raw = raw
@@ -653,9 +658,7 @@ class DenseBSPEngine:
         arc selection so the next superstep's gather reuses it.
         """
         graph = self.graph
-        sent_raw = (
-            int(graph.degrees()[new_senders].sum()) if new_senders.size else 0
-        )
+        sent_raw = self._flood_arcs(new_senders)
         if not sent_raw:
             self._pending_sel = None
             self._pending_raw = 0

@@ -48,6 +48,12 @@ Design:
   scatter-accounting call and the delivery at the next superstep's
   barrier, so each superstep costs at most two small pipe round-trips,
   not a pool spawn.
+* **Small supersteps stay in the parent** — a flood of at most
+  :data:`_LOCAL_SUPERSTEP_ARCS` arcs (the flat tails of the paper's
+  Fig. 2/3, most supersteps of a BFS or SSSP) is accounted and delivered
+  by the inherited dense hooks: no frames, no barrier, same numbers.
+  The choice is made per superstep from its own arc count and recorded
+  as the ``local_superstep`` telemetry counter.
 
 The engine subclasses :class:`DenseBSPEngine` and overrides only the
 scatter/gather hooks; the run loop — active-set selection, vote-to-halt,
@@ -263,6 +269,20 @@ def _release_block(shm: shared_memory.SharedMemory | None) -> None:
 #: bit-exactness vs. the single-call path) is preserved.
 _PROGRESS_CHUNK_ARCS = 1 << 18
 
+#: Largest flood (arcs out of a superstep's senders) the parent accounts
+#: and delivers itself through the inherited dense hooks instead of
+#: fanning out.  An exchange costs ~0.4 ms of frame/wake-up overhead
+#: however little the workers then do, and the parent's own scatter or
+#: delivery pass ~10 ns per arc plus ~0.1 ms: this is the largest power
+#: of two at which either pass stays under that overhead, so running
+#: locally wins however many workers would have shared the flood
+#: (measurements in docs/MODEL.md).
+_LOCAL_SUPERSTEP_ARCS = 1 << 14
+
+#: Gather frames name a generation, not senders: the worker delivers the
+#: selection it cached at the scatter exchange that always precedes.
+_NO_SENDERS = np.empty(0, dtype=np.int64)
+
 _PHASE_BY_CMD = {"run": PH_RUN, "scatter": PH_SCATTER, "gather": PH_GATHER}
 
 
@@ -348,13 +368,6 @@ def _worker_main(conn, spec: dict) -> None:
     sel = dst = None
     generation = -1
 
-    def refresh_scatter(gen, senders, mode):
-        nonlocal sel, dst, generation
-        sel = select_arcs(senders, row_ptr, mode)
-        dst = col_idx[sel]
-        hist_out[:] = np.bincount(dst, minlength=n)
-        generation = gen
-
     try:
         while True:
             msg, _ = wire.recv(conn)
@@ -413,8 +426,10 @@ def _worker_main(conn, spec: dict) -> None:
                         ring.record(EV_EXIT, phase, step, 0, busy)
                     wire.send(conn, ("ok", busy, rss))
                 elif cmd == "scatter":
-                    _, gen, senders, mode = msg
-                    refresh_scatter(gen, senders, mode)
+                    _, generation, senders, mode = msg
+                    sel = select_arcs(senders, row_ptr, mode)
+                    dst = col_idx[sel]
+                    hist_out[:] = np.bincount(dst, minlength=n)
                     busy = time.perf_counter_ns() - t_busy
                     rss = peak_rss_bytes() or 0
                     if ring is not None:
@@ -422,10 +437,14 @@ def _worker_main(conn, spec: dict) -> None:
                         ring.record(EV_EXIT, phase, step, int(dst.size), busy)
                     wire.send(conn, ("ok", int(dst.size), busy, rss))
                 elif cmd == "gather":
-                    _, gen, senders, mode = msg
-                    hist_fresh = gen != generation
-                    if hist_fresh:  # stale cache: no prior scatter call
-                        refresh_scatter(gen, senders, mode)
+                    gen = msg[1]
+                    if gen != generation:
+                        # The parent always scatters first; delivering a
+                        # stale selection would be a silent wrong answer.
+                        raise RuntimeError(
+                            f"gather for generation {gen} but the cached "
+                            f"scatter is generation {generation}"
+                        )
                     if ring is not None:
                         # Announce the arc total up front: the watchdog
                         # can tell a slow payload hook from a dead one.
@@ -463,10 +482,7 @@ def _worker_main(conn, spec: dict) -> None:
                     if ring is not None:
                         ring.record(EV_RSS, phase, step, rss)
                         ring.record(EV_EXIT, phase, step, int(dst.size), busy)
-                    wire.send(
-                        conn,
-                        ("ok", int(dst.size), int(hist_fresh), busy, rss),
-                    )
+                    wire.send(conn, ("ok", int(dst.size), busy, rss))
                 else:
                     if ring is not None:
                         ring.record(EV_EXIT, phase, step, -1, 0)
@@ -504,8 +520,10 @@ class ShardedBSPEngine(DenseBSPEngine):
     Same constructor contract, same ``run`` signature, same
     :class:`~repro.bsp.engine.BSPResult`, interchangeable checkpoints —
     but each superstep's scatter/gather executes as per-shard dense
-    kernels on a persistent worker pool.  Close the engine (or use it as
-    a context manager) to release the workers and shared memory.
+    kernels on a persistent worker pool, unless its flood is small
+    enough (:data:`_LOCAL_SUPERSTEP_ARCS`) that the parent's own pass is
+    cheaper than the round trip.  Close the engine (or use it as a
+    context manager) to release the workers and shared memory.
 
     Parameters
     ----------
@@ -539,7 +557,8 @@ class ShardedBSPEngine(DenseBSPEngine):
         hook (which must be read-only) emits a :class:`RuntimeWarning`.
         Well-behaved programs produce bit-identical results with the
         mode on or off, at the cost of one values-array copy per worker
-        per delivering superstep.
+        per delivering superstep — and of every superstep fanning out,
+        however small (the audit is about worker writes).
     flight_recorder:
         Worker flight recorder (shared-memory event rings; see
         :mod:`repro.telemetry.flightrec`).  **Default-on**: ``None``
@@ -1209,27 +1228,33 @@ class ShardedBSPEngine(DenseBSPEngine):
         self._shard_mode = None
         self._participants = ()
 
-    def _scatter(
-        self, program: DenseVertexProgram, new_senders: np.ndarray
-    ) -> tuple[int, np.ndarray | None]:
-        sent_raw = (
-            int(self.graph.degrees()[new_senders].sum())
-            if new_senders.size
-            else 0
-        )
-        self._generation += 1
-        if not sent_raw:
-            self._shard_senders = None
-            self._shard_mode = None
-            self._participants = ()
-            self._pending_raw = 0
-            return 0, None
-        self._shard_senders = self._split(new_senders)
-        self._shard_mode = self._choose_mode(new_senders, sent_raw)
-        self._pending_raw = sent_raw
+    def _runs_locally(self, flood_arcs: int) -> bool:
+        """Whether a flood of ``flood_arcs`` arcs stays in the parent.
+
+        Small floods (see :data:`_LOCAL_SUPERSTEP_ARCS`) are accounted
+        and delivered by the inherited dense hooks: no frames, no
+        barrier.  Check mode audits *worker* writes, so it always fans
+        out.  The decision is the ``local_superstep`` telemetry counter.
+        """
+        if not flood_arcs:
+            return True
+        local = flood_arcs <= _LOCAL_SUPERSTEP_ARCS and not self.check
+        if self.telemetry.enabled:
+            self.telemetry.counter(
+                "local_superstep", int(local), superstep=self._tel_superstep
+            )
+        return local
+
+    def _fan_out(self, senders: np.ndarray, flood_arcs: int) -> np.ndarray:
+        """Scatter exchange: every shard selects and histograms its arcs."""
+        self._shard_senders = self._split(senders)
+        self._shard_mode = self._choose_mode(senders, flood_arcs)
+        self._pending_sel = None
+        self._pending_raw = flood_arcs
         self._participants = tuple(
             w for w, s in enumerate(self._shard_senders) if s.size
         )
+        self._generation += 1
         if self.telemetry.enabled:
             for w, shard in enumerate(self._shard_senders):
                 self.telemetry.counter(
@@ -1250,7 +1275,16 @@ class ShardedBSPEngine(DenseBSPEngine):
             },
             phase="scatter",
         )
-        return sent_raw, self._merged_hist(self._participants)
+        return self._merged_hist(self._participants)
+
+    def _scatter(
+        self, program: DenseVertexProgram, new_senders: np.ndarray
+    ) -> tuple[int, np.ndarray | None]:
+        sent_raw = self._flood_arcs(new_senders)
+        if self._runs_locally(sent_raw):
+            self._shard_senders = None
+            return super()._scatter(program, new_senders)
+        return sent_raw, self._fan_out(new_senders, sent_raw)
 
     def _gather(
         self,
@@ -1258,48 +1292,19 @@ class ShardedBSPEngine(DenseBSPEngine):
         senders: np.ndarray,
         identity: Any,
     ) -> tuple[Callable[[], np.ndarray], np.ndarray, int]:
+        if self._shard_senders is None and self._pending_sel is None:
+            # Resumed run (or zero-arc senders): no prior scatter.
+            raw = self._flood_arcs(senders)
+            if not self._runs_locally(raw):
+                self._pending_hist = self._fan_out(senders, raw)
+        if self._shard_senders is None:
+            return super()._gather(program, senders, identity)
         n = self.graph.num_vertices
         mdtype = np.dtype(program.message_dtype)
-        if not senders.size:
-
-            def empty_inbox() -> np.ndarray:
-                return np.full(n, identity, dtype=mdtype)
-
-            return empty_inbox, np.empty(0, dtype=np.int64), 0
-
-        if self._shard_senders is None:  # resumed run: no prior scatter
-            raw = int(self.graph.degrees()[senders].sum())
-            self._shard_senders = self._split(senders)
-            self._shard_mode = self._choose_mode(senders, raw)
-            self._participants = tuple(
-                w for w, s in enumerate(self._shard_senders) if s.size
-            )
-            self._generation += 1
-            self._exchange(
-                {
-                    w: (
-                        "scatter",
-                        self._generation,
-                        self._shard_senders[w],
-                        self._shard_mode,
-                    )
-                    for w in self._participants
-                },
-                phase="scatter",
-            )
-            self._pending_raw = raw
-            self._pending_hist = self._merged_hist(self._participants)
-        if self._pending_hist is None:
-            self._pending_hist = self._merged_hist(self._participants)
         raw = self._pending_raw
-        receivers = (
-            np.flatnonzero(self._pending_hist)
-            if raw
-            else np.empty(0, dtype=np.int64)
-        )
+        receivers = np.flatnonzero(self._pending_hist)
         generation = self._generation
         participants = self._participants
-        shard_senders = self._shard_senders
         mode = self._shard_mode
         superstep = self._tel_superstep
 
@@ -1309,7 +1314,7 @@ class ShardedBSPEngine(DenseBSPEngine):
             snapshot = self.values.copy() if check else None
             replies = self._exchange(
                 {
-                    w: ("gather", generation, shard_senders[w], mode)
+                    w: ("gather", generation, _NO_SENDERS, mode)
                     for w in participants
                 },
                 phase="gather",

@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.bsp import engine_for
 from repro.bsp.dense import DenseSuperstepContext, DenseVertexProgram
-from repro.bsp.frontier import arc_indices
 from repro.bsp.vertex import VertexContext, VertexProgram
 from repro.graph.csr import CSRGraph
 from repro.xmt.calibration import DEFAULT_COSTS, KernelCosts
@@ -36,16 +35,12 @@ from repro.xmt.trace import WorkTrace
 __all__ = [
     "BSPBFSResult",
     "BSPBreadthFirstSearch",
-    "DIRECTIONS",
     "DenseBreadthFirstSearch",
     "bsp_breadth_first_search",
 ]
 
 #: Sentinel for "infinity" in integer distance arrays.
 UNREACHED = np.iinfo(np.int64).max
-
-#: Execution directions accepted by :class:`DenseBreadthFirstSearch`.
-DIRECTIONS = ("auto", "top-down", "bottom-up")
 
 
 class BSPBreadthFirstSearch(VertexProgram):
@@ -79,32 +74,17 @@ class BSPBreadthFirstSearch(VertexProgram):
 
 
 class DenseBreadthFirstSearch(DenseVertexProgram):
-    """Algorithm 2 as whole-superstep array kernels, direction-optimized.
+    """Algorithm 2 as whole-superstep array kernels.
 
     At superstep ``s`` every delivered message equals ``s`` (each sender
     holds distance ``s - 1``), so the improved set is exactly
-    ``receivers ∩ {dist == ∞}`` and the program never needs to read the
-    materialized inbox.  That identity unlocks the two Beamer/Buluç-
-    Madduri execution directions:
-
-    * **top-down** — filter the engine's receiver set for unvisited
-      vertices.  Performs no per-arc work at all; the per-edge flood
-      remains *modeled* (it is the BSP message count the paper's Fig. 2
-      charges) but is never executed.
-    * **bottom-up** — each unvisited vertex scans its in-neighbors for a
-      parent on the previous level.  Performed work is proportional to
-      the *unvisited* arcs, the paper's GraphCT-style "touch each
-      undiscovered vertex" cost.
-
-    ``direction="auto"`` switches per superstep with Beamer's heuristic
-    (bottom-up once ``frontier_arcs * alpha > unvisited_arcs``; only on
-    undirected graphs, where out-neighbors are in-neighbors).  Both
-    directions discover the identical frontier in the identical order,
-    so distances, message counts, and work traces are bit-identical to
-    the reference engine regardless of the switch schedule — the
-    decision and the performed per-direction arc scans surface only as
-    the ``direction`` / ``edges_scanned`` telemetry counters and the
-    :attr:`direction_history` record.
+    ``receivers ∩ {dist == ∞}``: the program filters the engine's
+    receiver set and never reads the materialized inbox.  The per-edge
+    flood remains *modeled* (it is the BSP message count the paper's
+    Fig. 2 charges) but no per-arc work is performed here — the engine's
+    scatter accounting has already produced the receiver set, which is
+    why a bottom-up (unvisited-vertices-scan-for-a-parent) step could
+    only add work on top of it (docs/MODEL.md).
 
     Besides the engine-owned distances it records ``frontier_sizes`` —
     the newly discovered vertices per level, Fig. 2's comparison series
@@ -115,42 +95,14 @@ class DenseBreadthFirstSearch(DenseVertexProgram):
     combine_identity = UNREACHED
     message_dtype = np.int64
 
-    def __init__(
-        self,
-        source: int,
-        *,
-        direction: str = "auto",
-        alpha: float = 14.0,
-    ):
-        if direction not in DIRECTIONS:
-            raise ValueError(f"direction must be one of {DIRECTIONS}")
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+    def __init__(self, source: int):
         self.source = int(source)
-        self.direction = direction
-        self.alpha = float(alpha)
         #: Newly discovered vertices per level (rebuilt each run).
         self.frontier_sizes: list[int] = []
-        #: Direction executed per superstep >= 1 (rebuilt each run).
-        self.direction_history: list[str] = []
-        #: Arcs actually examined by the compute kernel, per direction.
-        #: Top-down scans none (the flood is modeled, not performed).
-        self.edges_scanned: dict[str, int] = {"top-down": 0, "bottom-up": 0}
-        # Beamer-heuristic state: arcs incident on the current frontier
-        # and on the still-unvisited set.  None until initial_values (or
-        # recovered from the distance array after a checkpoint resume).
-        self._frontier_arcs: int | None = None
-        self._unvisited_arcs: int | None = None
-        self._reverse: CSRGraph | None = None
 
     def initial_values(self, graph: CSRGraph) -> np.ndarray:
         """Distance 0 at the source, infinity elsewhere."""
         self.frontier_sizes = [1]
-        self.direction_history = []
-        self.edges_scanned = {"top-down": 0, "bottom-up": 0}
-        source_deg = int(graph.degrees()[self.source])
-        self._frontier_arcs = source_deg
-        self._unvisited_arcs = graph.num_arcs - source_deg
         dist = np.full(graph.num_vertices, UNREACHED, dtype=np.int64)
         dist[self.source] = 0
         return dist
@@ -162,71 +114,17 @@ class DenseBreadthFirstSearch(DenseVertexProgram):
         (same value as sending ``dist + 1``)."""
         return values[graph.arc_sources()[selection]] + 1
 
-    def _in_neighbor_graph(self, graph: CSRGraph) -> CSRGraph:
-        """CSR whose adjacency lists are in-neighbors (cached transpose)."""
-        if not graph.directed:
-            return graph
-        if self._reverse is None:
-            self._reverse = graph.reverse()
-        return self._reverse
-
-    def _use_bottom_up(self, ctx: DenseSuperstepContext) -> bool:
-        if self.direction != "auto":
-            return self.direction == "bottom-up"
-        if ctx.graph.directed:
-            # Auto never transposes a directed graph behind the caller's
-            # back; ask for direction="bottom-up" explicitly to pay it.
-            return False
-        if self._frontier_arcs is None:  # resumed run: program state was
-            # not checkpointed — recover it from the distances (senders
-            # at superstep s are exactly the vertices at distance s - 1).
-            deg = ctx.graph.degrees()
-            dist = ctx.values
-            self._frontier_arcs = int(deg[dist == ctx.superstep - 1].sum())
-            self._unvisited_arcs = int(deg[dist == UNREACHED].sum())
-        return self._frontier_arcs * self.alpha > self._unvisited_arcs
-
-    def _bottom_up_step(
-        self, ctx: DenseSuperstepContext
-    ) -> tuple[np.ndarray, int]:
-        """Unvisited vertices scan in-neighbors for a previous-level parent."""
-        rev = self._in_neighbor_graph(ctx.graph)
-        dist = ctx.values
-        cand = np.flatnonzero(dist == UNREACHED)
-        idx = arc_indices(cand, rev.row_ptr)
-        hit = dist[rev.col_idx[idx]] == ctx.superstep - 1
-        counts = rev.row_ptr[cand + 1] - rev.row_ptr[cand]
-        owner = np.repeat(np.arange(cand.size), counts)
-        found = np.bincount(
-            owner[hit], minlength=cand.size
-        ).astype(bool, copy=False)
-        return cand[found], int(idx.size)
-
     def compute(self, ctx: DenseSuperstepContext) -> np.ndarray | None:
         ctx.vote_to_halt()
         if ctx.superstep == 0:                    # lines 6-10
             return np.asarray([self.source], dtype=np.int64)
         dist = ctx.values                         # lines 11-14
-        bottom_up = self._use_bottom_up(ctx)
-        if bottom_up:
-            improved, scanned = self._bottom_up_step(ctx)
-        else:
-            # Every message this superstep equals ctx.superstep, so the
-            # adoption test "message < dist" is "dist == UNREACHED" and
-            # the inbox never needs materializing.
-            receivers = ctx.receivers
-            improved = receivers[dist[receivers] == UNREACHED]
-            scanned = 0
+        # Every message this superstep equals ctx.superstep, so the
+        # adoption test "message < dist" is "dist == UNREACHED" and
+        # the inbox never needs materializing.
+        receivers = ctx.receivers
+        improved = receivers[dist[receivers] == UNREACHED]
         dist[improved] = ctx.superstep
-        label = "bottom-up" if bottom_up else "top-down"
-        self.direction_history.append(label)
-        self.edges_scanned[label] += scanned
-        ctx.counter("direction", 1 if bottom_up else 0)
-        ctx.counter("edges_scanned", scanned)
-        if self._frontier_arcs is not None:
-            improved_arcs = int(ctx.graph.degrees()[improved].sum())
-            self._frontier_arcs = improved_arcs
-            self._unvisited_arcs -= improved_arcs
         if improved.size:
             # A level is only a level if it discovered something: the
             # final superstep (all deliveries land on visited vertices)
@@ -250,12 +148,6 @@ class BSPBFSResult:
     #: True frontier per level (newly discovered vertices) for comparison
     #: against the messages series.
     frontier_sizes: list[int] = field(default_factory=list)
-    #: Execution direction per superstep >= 1 ("top-down"/"bottom-up").
-    #: Performance bookkeeping only — results are direction-independent.
-    directions: list[str] = field(default_factory=list)
-    #: Arcs the compute kernel actually examined, per direction (the
-    #: performed-work counterpart of the modeled message counts).
-    edges_scanned: dict[str, int] = field(default_factory=dict)
     trace: WorkTrace = field(default_factory=WorkTrace)
 
     @property
@@ -271,8 +163,6 @@ def bsp_breadth_first_search(
     graph: CSRGraph,
     source: int,
     *,
-    direction: str = "auto",
-    alpha: float = 14.0,
     costs: KernelCosts = DEFAULT_COSTS,
     max_supersteps: int = 10_000,
     num_workers: int | None = None,
@@ -280,15 +170,10 @@ def bsp_breadth_first_search(
     telemetry=None,
     engine=None,
 ) -> BSPBFSResult:
-    """Dense-engine execution of Algorithm 2, direction-optimized.
+    """Dense-engine execution of Algorithm 2.
 
-    ``direction`` selects the per-superstep execution strategy
-    (``"auto"``/``"top-down"``/``"bottom-up"``; see
-    :class:`DenseBreadthFirstSearch` — distances and message counts are
-    identical under every choice), with ``alpha`` the Beamer switch
-    threshold for ``"auto"``.  ``num_workers`` > 1 shards the
-    scatter/gather over that many worker processes under the given
-    ``partition`` placement.  ``telemetry`` (a
+    ``num_workers`` > 1 shards the scatter/gather over that many worker
+    processes under the given ``partition`` placement.  ``telemetry`` (a
     :class:`~repro.telemetry.core.Telemetry`) records wall-clock spans
     without affecting results.  ``engine`` reuses a warm caller-owned
     engine built on this graph (left open afterwards; the
@@ -297,9 +182,7 @@ def bsp_breadth_first_search(
     n = graph.num_vertices
     if not 0 <= source < n:
         raise IndexError(f"source {source} out of range [0, {n})")
-    program = DenseBreadthFirstSearch(
-        source, direction=direction, alpha=alpha
-    )
+    program = DenseBreadthFirstSearch(source)
     with engine_for(
         graph,
         engine,
@@ -319,7 +202,5 @@ def bsp_breadth_first_search(
         active_per_superstep=result.active_per_superstep,
         messages_per_superstep=result.messages_per_superstep,
         frontier_sizes=program.frontier_sizes,
-        directions=program.direction_history,
-        edges_scanned=program.edges_scanned,
         trace=result.trace,
     )

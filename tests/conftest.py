@@ -22,6 +22,18 @@ def small_rmat_nx(small_rmat):
 
 
 @pytest.fixture
+def fan_out_every_superstep(monkeypatch):
+    """Send every sharded superstep to the workers.
+
+    Floods of at most ``_LOCAL_SUPERSTEP_ARCS`` arcs run in the parent,
+    which on test-sized graphs is all of them; suites that exist to
+    exercise worker mechanics (rings, frames, per-worker telemetry,
+    crash/stall handling) lower the threshold to 0 so they still do.
+    """
+    monkeypatch.setattr("repro.bsp.parallel._LOCAL_SUPERSTEP_ARCS", 0)
+
+
+@pytest.fixture
 def two_triangles():
     """Two triangles sharing vertex 2 (bowtie): 2 triangles, known CCs."""
     return from_edge_list([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])

@@ -393,6 +393,7 @@ def _make_recorder(tmp_path):
     )
 
 
+@pytest.mark.usefixtures("fan_out_every_superstep")
 class TestEngineIntegration:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_matches_dense_with_recorder_on(self, graph, workers, tmp_path):

@@ -1,6 +1,6 @@
-"""Frontier representation, direction-optimized BFS, and wire framing.
+"""Frontier representation, receiver-filter BFS, and wire framing.
 
-Three contracts from the frontier/direction work:
+Three contracts from the frontier work:
 
 * **Representation independence** — the sparse (arc-index) and dense
   (boolean-mask) arc selections are interchangeable at *every* superstep
@@ -8,10 +8,10 @@ Three contracts from the frontier/direction work:
   on any schedule, yields results bit-identical to the reference engine
   (values, superstep counts, message counts, work traces), on the dense
   and sharded engines alike.
-* **Direction independence** — top-down and bottom-up BFS discover the
-  identical frontier, so distances, message counts, and
-  ``frontier_sizes`` are unchanged under any switch schedule; the
-  decision surfaces only in telemetry and ``direction_history``.
+* **Receiver-filter BFS** — the dense BFS never reads its inbox (it
+  filters the engine's receiver set) yet matches the reference engine
+  on directed and undirected inputs, and ``frontier_sizes`` reports the
+  true per-level discoveries.
 * **Wire framing** — the sharded engine's byte-packed frames carry the
   same computation as the legacy pickled frames with fewer bytes on the
   pipe (``pipe_bytes`` asserts the reduction).
@@ -74,17 +74,6 @@ class ScheduledPolicy:
 
     def choose(self, *, superstep, **_):
         return self.schedule.get(superstep, self.default)
-
-
-class ScheduledBFS(DenseBreadthFirstSearch):
-    """BFS whose top-down/bottom-up choice follows an explicit schedule."""
-
-    def __init__(self, source, bottom_up_from):
-        super().__init__(source)
-        self.bottom_up_from = bottom_up_from
-
-    def _use_bottom_up(self, ctx):
-        return ctx.superstep >= self.bottom_up_from
 
 
 # -- selection helpers -----------------------------------------------------
@@ -184,6 +173,7 @@ class TestRepresentationIndependence:
             )
             assert_results_equal(ref, got)
 
+    @pytest.mark.usefixtures("fan_out_every_superstep")
     @pytest.mark.parametrize("num_workers", WORKER_COUNTS)
     def test_sharded_forced_modes(self, medium_graph, num_workers):
         ref = BSPEngine(medium_graph).run(BSPConnectedComponents())
@@ -197,91 +187,39 @@ class TestRepresentationIndependence:
             assert_results_equal(ref, got)
 
 
-# -- direction-optimized BFS -----------------------------------------------
+# -- receiver-filter BFS ---------------------------------------------------
 
 
-class TestDirectionOptimizedBFS:
-    def test_direction_validated(self):
-        with pytest.raises(ValueError, match="direction"):
-            DenseBreadthFirstSearch(0, direction="sideways")
-        with pytest.raises(ValueError, match="alpha"):
-            DenseBreadthFirstSearch(0, alpha=0)
+DIRECTED_DIAMOND = [(0, 1), (1, 2), (2, 3), (0, 4), (4, 3), (3, 5)]
 
-    @pytest.mark.parametrize("direction", ["auto", "top-down", "bottom-up"])
-    def test_directions_match_reference(self, medium_graph, direction):
-        ref = reference_bfs(medium_graph, 0)
-        got = DenseBSPEngine(medium_graph).run(
-            DenseBreadthFirstSearch(0, direction=direction)
-        )
-        assert_results_equal(ref, got)
 
-    def test_switch_at_every_superstep(self, medium_graph):
-        ref = reference_bfs(medium_graph, 0)
-        for flip in range(ref.num_supersteps + 1):
-            program = ScheduledBFS(0, bottom_up_from=flip)
-            got = DenseBSPEngine(medium_graph).run(program)
-            assert_results_equal(ref, got)
-            expected = [
-                "bottom-up" if s >= flip else "top-down"
-                for s in range(1, got.num_supersteps)
-            ]
-            assert program.direction_history == expected
-
-    def test_auto_goes_bottom_up_past_apex(self, medium_graph):
-        program = DenseBreadthFirstSearch(0, direction="auto")
-        DenseBSPEngine(medium_graph).run(program)
-        assert "bottom-up" in program.direction_history
-        assert program.edges_scanned["bottom-up"] > 0
-        # Top-down performs no per-arc work: the flood is modeled only.
-        assert program.edges_scanned["top-down"] == 0
-
-    def test_auto_stays_top_down_on_directed_graphs(self):
-        g = from_edge_list(
-            [(i, i + 1) for i in range(30)] + [(0, j) for j in range(2, 30)],
-            num_vertices=31,
-            directed=True,
-        )
-        program = DenseBreadthFirstSearch(0, direction="auto")
-        DenseBSPEngine(g).run(program)
-        assert set(program.direction_history) == {"top-down"}
-
-    def test_forced_bottom_up_on_directed_graph_uses_transpose(self):
-        g = from_edge_list(
-            [(0, 1), (1, 2), (2, 3), (0, 4), (4, 3), (3, 5)],
-            num_vertices=7,
-            directed=True,
-        )
+class TestDenseBFS:
+    @pytest.mark.parametrize(
+        "make_graph",
+        [
+            lambda: rmat(scale=8, edge_factor=8, seed=7),
+            lambda: from_edge_list(
+                DIRECTED_DIAMOND, num_vertices=7, directed=True
+            ),
+        ],
+        ids=["undirected", "directed"],
+    )
+    def test_matches_reference(self, make_graph):
+        g = make_graph()
         ref = reference_bfs(g, 0)
-        program = DenseBreadthFirstSearch(0, direction="bottom-up")
-        got = DenseBSPEngine(g).run(program)
-        assert_results_equal(ref, got)
-        assert program.edges_scanned["bottom-up"] > 0
-
-    @pytest.mark.parametrize("num_workers", WORKER_COUNTS)
-    @pytest.mark.parametrize("direction", ["auto", "bottom-up"])
-    def test_sharded_directions(self, medium_graph, num_workers, direction):
-        ref = reference_bfs(medium_graph, 0)
-        with ShardedBSPEngine(
-            medium_graph, num_workers=num_workers
-        ) as engine:
-            got = engine.run(
-                DenseBreadthFirstSearch(0, direction=direction)
-            )
+        got = DenseBSPEngine(g).run(DenseBreadthFirstSearch(0))
         assert_results_equal(ref, got)
 
-    @pytest.mark.parametrize("direction", ["auto", "top-down", "bottom-up"])
-    def test_frontier_sizes_report_true_discoveries(
-        self, medium_graph, direction
-    ):
+    def test_frontier_sizes_report_true_discoveries(self, medium_graph):
         """``frontier_sizes`` equals the per-level discovery counts from
-        the reference engine's distances, under every direction —
-        including no trailing zero for the final empty superstep."""
+        the reference engine's distances — including no trailing zero
+        for the final empty superstep."""
         ref = reference_bfs(medium_graph, 0)
         levels = np.asarray(
             [v for v in ref.values if v != UNREACHED], dtype=np.int64
         )
         truth = np.bincount(levels).tolist()
-        program = DenseBreadthFirstSearch(0, direction=direction)
+        program = DenseBreadthFirstSearch(0)
         DenseBSPEngine(medium_graph).run(program)
         assert program.frontier_sizes == truth
 
@@ -329,13 +267,6 @@ class TestPropertySchedules:
         )
         assert_results_equal(ref, got)
 
-    @given(random_graph(), st.integers(min_value=0, max_value=12))
-    @settings(max_examples=60, deadline=None)
-    def test_any_direction_switch_matches_reference(self, g, flip):
-        ref = reference_bfs(g, 0)
-        got = DenseBSPEngine(g).run(ScheduledBFS(0, bottom_up_from=flip))
-        assert_results_equal(ref, got)
-
 
 # -- telemetry counters ----------------------------------------------------
 
@@ -346,17 +277,13 @@ class TestFrontierTelemetry:
         DenseBSPEngine(medium_graph, telemetry=tel).run(
             DenseBreadthFirstSearch(0)
         )
-        names = {c.name for c in tel.counters}
-        assert {"frontier_mode", "direction", "edges_scanned"} <= names
         modes = [c for c in tel.counters if c.name == "frontier_mode"]
-        assert all(c.value in (0, 1) for c in modes)
+        assert modes and all(c.value in (0, 1) for c in modes)
         # The apex superstep floods most of the graph: dense must appear.
         assert any(c.value == 1 for c in modes)
-        directions = [c for c in tel.counters if c.name == "direction"]
-        scanned = [c for c in tel.counters if c.name == "edges_scanned"]
-        assert len(directions) == len(scanned)
-        assert all(c.superstep >= 0 for c in directions)
+        assert all(c.superstep >= 0 for c in modes)
 
+    @pytest.mark.usefixtures("fan_out_every_superstep")
     def test_sharded_pipe_byte_counters(self, medium_graph):
         tel = Telemetry("t")
         with ShardedBSPEngine(
@@ -391,6 +318,7 @@ class TestWireFraming:
         with ShardedBSPEngine(star_graph(4), num_workers=2) as engine:
             assert engine.wire_format == "packed"
 
+    @pytest.mark.usefixtures("fan_out_every_superstep")
     @pytest.mark.parametrize(
         "make_program",
         [

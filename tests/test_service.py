@@ -1029,9 +1029,11 @@ class TestFlightRecorderEndpoints:
         code, body = client.get("/debug/postmortem/pm-..-escape")
         assert code == 404
 
+    @pytest.mark.usefixtures("fan_out_every_superstep")
     def test_worker_metric_families_in_exposition(self, client):
+        # A source no other test asks for: a cache hit runs no engine.
         code, sub = client.post(
-            "/jobs", {"algorithm": "cc", "params": {}}
+            "/jobs", {"algorithm": "sssp", "params": {"source": 101}}
         )
         assert code == 202
         assert client.wait(sub["job_id"])["status"] == "done"

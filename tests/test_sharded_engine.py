@@ -8,6 +8,12 @@ traces — at any worker count and under either partition policy.  Plus
 the pool's own mechanics: reuse across runs, crash safety, checkpoint
 interchange with the dense engine, and constructor validation.
 
+Floods of at most ``repro.bsp.parallel._LOCAL_SUPERSTEP_ARCS`` arcs run
+in the parent, which on these graphs is every superstep — so the suites
+about workers force fan-out (``fan_out_every_superstep``), and
+``TestLocalSupersteps`` covers the selection itself at thresholds on
+both sides of, and inside, a run.
+
 Set ``SHARDED_WORKERS`` (comma-separated) to restrict the worker counts
 exercised — CI's multiprocessing smoke job runs the suite with
 ``SHARDED_WORKERS=2``.
@@ -17,6 +23,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bsp import (
     CheckpointStore,
@@ -25,6 +33,7 @@ from repro.bsp import (
     ShardedWorkerError,
     SumAggregator,
     make_engine,
+    parallel,
 )
 from repro.bsp_algorithms import (
     DenseBreadthFirstSearch,
@@ -34,6 +43,7 @@ from repro.bsp_algorithms import (
     DenseShortestPaths,
 )
 from repro.graph import from_edge_list, rmat, star_graph
+from repro.telemetry.core import MAIN_TRACK, Telemetry
 from tests.test_dense_engine import assert_results_equal
 
 WORKER_COUNTS = [
@@ -79,6 +89,7 @@ def partition(request):
     return request.param
 
 
+@pytest.mark.usefixtures("fan_out_every_superstep")
 class TestShardedEquivalence:
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     def test_matches_dense(self, graph, num_workers, partition, algorithm):
@@ -171,6 +182,7 @@ class PoisonPayloadCC(DenseConnectedComponents):
         raise RuntimeError("injected shard failure")
 
 
+@pytest.mark.usefixtures("fan_out_every_superstep")
 class TestShardedCrashSafety:
     def test_raising_program_surfaces_worker_error(self):
         g = rmat(scale=6, edge_factor=8, seed=3)
@@ -186,6 +198,20 @@ class TestShardedCrashSafety:
         finally:
             engine.close()
         assert all(not p.is_alive() for p in engine._procs)
+
+    def test_gather_without_its_scatter_is_a_worker_error(self):
+        """Gather frames carry no senders: a worker asked to deliver a
+        generation it never scattered must refuse, not improvise."""
+        g = rmat(scale=6, edge_factor=8, seed=3)
+        with ShardedBSPEngine(g, num_workers=2) as engine:
+            engine.run(DenseConnectedComponents())
+            stale = engine._generation + 1
+            with pytest.raises(ShardedWorkerError, match="generation"):
+                engine._exchange(
+                    {0: ("gather", stale, parallel._NO_SENDERS, "sparse")}
+                )
+            dense = DenseBSPEngine(g).run(DenseConnectedComponents())
+            assert_results_equal(dense, engine.run(DenseConnectedComponents()))
 
     def test_close_is_idempotent_and_terminal(self):
         g = star_graph(5)
@@ -208,6 +234,7 @@ class TestShardedCrashSafety:
 # -- checkpoint interchange ------------------------------------------------
 
 
+@pytest.mark.usefixtures("fan_out_every_superstep")
 class TestShardedCheckpoints:
     def test_dense_checkpoint_resumes_on_sharded(self):
         g = rmat(scale=7, edge_factor=8, seed=5)
@@ -242,6 +269,164 @@ class TestShardedCheckpoints:
         )
         assert np.array_equal(resumed.values, clean.values)
         assert resumed.num_supersteps == clean.num_supersteps
+
+
+# -- local supersteps ------------------------------------------------------
+
+#: Always fan out / split the rmat8 runs of CC, BFS and SSSP (their
+#: floods straddle 400 arcs) / never fan out.
+THRESHOLDS = (0, 400, 1 << 40)
+
+
+def _local_decisions(tel):
+    """``{superstep: 0|1}`` from the ``local_superstep`` counter."""
+    return {
+        c.superstep: c.value
+        for c in tel.counters
+        if c.name == "local_superstep"
+    }
+
+
+def _barriers(tel, phase):
+    """Supersteps that recorded a ``barrier`` span for ``phase``."""
+    return {
+        s.superstep
+        for s in tel.spans_named("barrier", track=MAIN_TRACK)
+        if s.args["phase"] == phase
+    }
+
+
+class TestLocalSupersteps:
+    @pytest.fixture(scope="class")
+    def rmat8(self):
+        return GRAPHS["rmat8"]()
+
+    @pytest.mark.parametrize("threshold", THRESHOLDS)
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_matches_dense_at_any_threshold(
+        self, rmat8, num_workers, algorithm, threshold, monkeypatch
+    ):
+        monkeypatch.setattr(parallel, "_LOCAL_SUPERSTEP_ARCS", threshold)
+        make_program, engine_kwargs, float_values = ALGORITHMS[algorithm]
+        dense = DenseBSPEngine(rmat8, **engine_kwargs).run(make_program())
+        with ShardedBSPEngine(
+            rmat8, num_workers=num_workers, **engine_kwargs
+        ) as engine:
+            sharded = engine.run(make_program())
+        assert_results_equal(dense, sharded, float_values=float_values)
+
+    @given(
+        threshold=st.integers(min_value=0, max_value=3000),
+        algorithm=st.sampled_from(sorted(ALGORITHMS)),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_any_threshold_matches_dense(self, threshold, algorithm):
+        graph = GRAPHS["rmat8"]()
+        make_program, engine_kwargs, float_values = ALGORITHMS[algorithm]
+        dense = DenseBSPEngine(graph, **engine_kwargs).run(make_program())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(parallel, "_LOCAL_SUPERSTEP_ARCS", threshold)
+            with ShardedBSPEngine(
+                graph, num_workers=2, **engine_kwargs
+            ) as engine:
+                sharded = engine.run(make_program())
+        assert_results_equal(dense, sharded, float_values=float_values)
+
+    def test_threshold_is_inclusive_and_local_costs_no_exchange(
+        self, rmat8, monkeypatch
+    ):
+        """A flood *at* the threshold stays in the parent: no barrier
+        span and not one byte on the pipes beyond the run frame; one arc
+        more and it fans out."""
+        largest = rmat8.num_arcs  # CC's superstep 0 floods every arc
+        with ShardedBSPEngine(rmat8, num_workers=2) as engine:
+            monkeypatch.setattr(parallel, "_LOCAL_SUPERSTEP_ARCS", largest)
+            engine.telemetry = local_tel = Telemetry("local")
+            engine.run(DenseConnectedComponents())
+            run_frame_bytes = engine.pipe_bytes
+            monkeypatch.setattr(
+                parallel, "_LOCAL_SUPERSTEP_ARCS", largest - 1
+            )
+            engine.telemetry = split_tel = Telemetry("split")
+            engine.run(DenseConnectedComponents())
+            split_bytes = engine.pipe_bytes - run_frame_bytes
+        assert set(_local_decisions(local_tel).values()) == {1}
+        assert not local_tel.spans_named("barrier")
+        assert not [c for c in local_tel.counters if c.name == "pipe_bytes"]
+        # Only superstep 0's flood is above the threshold: its scatter
+        # barrier, and the gather barrier that delivers it at superstep 1.
+        decisions = _local_decisions(split_tel)
+        assert decisions[0] == 0 and set(decisions.values()) == {0, 1}
+        assert _barriers(split_tel, "scatter") == {0}
+        assert _barriers(split_tel, "gather") == {1}
+        exchanged = sum(
+            c.value for c in split_tel.counters if c.name == "pipe_bytes"
+        )
+        assert exchanged > 0
+        assert split_bytes == run_frame_bytes + exchanged
+
+    def test_barriers_follow_the_decision(self, rmat8, monkeypatch):
+        monkeypatch.setattr(parallel, "_LOCAL_SUPERSTEP_ARCS", THRESHOLDS[1])
+        tel = Telemetry("mid")
+        with ShardedBSPEngine(rmat8, num_workers=2, telemetry=tel) as engine:
+            engine.run(DenseShortestPaths(0))
+        decisions = _local_decisions(tel)
+        fanned_out = {s for s, local in decisions.items() if not local}
+        assert fanned_out and fanned_out != set(decisions)
+        assert _barriers(tel, "scatter") == fanned_out
+        assert _barriers(tel, "gather") == {s + 1 for s in fanned_out}
+
+    @pytest.mark.parametrize("threshold", [0, 1 << 40], ids=["fan-out", "local"])
+    def test_resume_lands_on_either_side(self, threshold, monkeypatch):
+        monkeypatch.setattr(parallel, "_LOCAL_SUPERSTEP_ARCS", threshold)
+        g = rmat(scale=7, edge_factor=8, seed=5)
+        clean = DenseBSPEngine(g).run(DenseConnectedComponents())
+        store = CheckpointStore()
+        DenseBSPEngine(g).run(
+            DenseConnectedComponents(),
+            max_supersteps=3,
+            checkpoint_every=2,
+            checkpoint_store=store,
+        )
+        tel = Telemetry("resume")
+        with ShardedBSPEngine(g, num_workers=2, telemetry=tel) as engine:
+            resumed = engine.run(
+                DenseConnectedComponents(), resume_from=store.latest
+            )
+        assert np.array_equal(resumed.values, clean.values)
+        assert resumed.num_supersteps == clean.num_supersteps
+        assert resumed.messages_per_superstep == clean.messages_per_superstep
+        # The pending flood is decided at the superstep resumed into.
+        resumed_at = store.latest.superstep
+        assert _local_decisions(tel)[resumed_at] == int(threshold > 0)
+        assert (resumed_at in _barriers(tel, "scatter")) == (threshold == 0)
+
+    def test_check_mode_always_fans_out(self, rmat8):
+        """The write-race audit is about worker writes: a graph whose
+        every flood is below the threshold still reaches them (that the
+        audit then catches a race is ``tests/test_check.py``'s job)."""
+        assert rmat8.num_arcs <= parallel._LOCAL_SUPERSTEP_ARCS
+        tel = Telemetry("check")
+        dense = DenseBSPEngine(rmat8).run(DenseConnectedComponents())
+        with ShardedBSPEngine(
+            rmat8, num_workers=2, check=True, telemetry=tel
+        ) as engine:
+            checked = engine.run(DenseConnectedComponents())
+        assert_results_equal(dense, checked)
+        assert set(_local_decisions(tel).values()) == {0}
+        assert _barriers(tel, "gather")
+
+    @pytest.mark.usefixtures("fan_out_every_superstep")
+    def test_isolated_source_performs_no_exchange(self):
+        """A sender set with no out-arcs floods nothing — not even a
+        scatter barrier to find that out."""
+        g = GRAPHS["isolated"]()
+        tel = Telemetry("isolated")
+        dense = DenseBSPEngine(g).run(DenseBreadthFirstSearch(6))
+        with ShardedBSPEngine(g, num_workers=2, telemetry=tel) as engine:
+            sharded = engine.run(DenseBreadthFirstSearch(6))
+        assert_results_equal(dense, sharded)
+        assert not tel.spans_named("barrier")
 
 
 # -- construction & selection ----------------------------------------------

@@ -240,6 +240,7 @@ class TestEngineInstrumentation:
         ]
         assert active == result.active_per_superstep
 
+    @pytest.mark.usefixtures("fan_out_every_superstep")
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_sharded_per_worker_attribution(self, graph, workers):
         tel = Telemetry("cc-sharded")
@@ -401,6 +402,7 @@ class TestMemorySampling:
         )
         assert all(c.track == MAIN_TRACK for c in samples)
 
+    @pytest.mark.usefixtures("fan_out_every_superstep")
     def test_sharded_engine_samples_worker_rss(self, graph):
         tel = Telemetry("cc-sharded")
         result = _cc_run(
@@ -428,6 +430,7 @@ class TestMemorySampling:
             == n
         )
 
+    @pytest.mark.usefixtures("fan_out_every_superstep")
     def test_memory_summary_shapes(self, graph):
         assert memory_summary(Telemetry("empty")) == {}
         tel = Telemetry("cc-sharded")
@@ -454,6 +457,7 @@ class TestCorrelation:
             assert r.regions and r.measured_seconds > 0
             assert r.modeled_seconds > 0 and r.ratio is not None
 
+    @pytest.mark.usefixtures("fan_out_every_superstep")
     def test_correlate_sharded_two_workers(self, graph):
         tel = Telemetry("cc-sharded")
         res = _cc_run(
@@ -548,6 +552,7 @@ class TestProfileCLI:
         assert report["memory"]["peak_rss_bytes"] > 0
         assert "tracemalloc_peak_bytes" not in report["memory"]
 
+    @pytest.mark.usefixtures("fan_out_every_superstep")
     def test_profile_sharded_has_worker_rows(self, tmp_path, capsys):
         from repro.telemetry.profile import main
 

@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.bsp import parallel
 from repro.bsp.parallel import ShardedBSPEngine, WorkerStallError
 from repro.bsp_algorithms.connected_components import DenseConnectedComponents
 from repro.graph.generators import rmat
@@ -65,6 +66,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     graph = rmat(scale=args.scale, edge_factor=8, seed=7)
+    # A graph this small floods fewer arcs than the engine bothers to
+    # fan out; the hang must wedge a worker, not the parent.
+    parallel._LOCAL_SUPERSTEP_ARCS = 0
     engine = ShardedBSPEngine(
         graph, num_workers=2, stall_timeout=args.stall_timeout
     )
