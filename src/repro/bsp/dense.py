@@ -17,7 +17,10 @@ combiner-fused scatter/gather:
   array while the frontier is small, a boolean mask once the
   frontier-incident arc count crosses the GBBS-style ``m / k``
   threshold, so low-activity supersteps (BFS tails, CC late rounds,
-  SSSP settling) stop paying ``O(n + m)`` sweeps.
+  SSSP settling) stop paying ``O(n + m)`` sweeps — and, when the flood
+  covers every arc (CC's first round, every PageRank round), the slice
+  over the whole arc array, for which the graph's own ``col_idx`` and
+  in-degree vector *are* the destinations and the enqueue histogram.
 * **gather** — the per-arc payloads are produced in one vectorized call
   and folded per destination with a NumPy ufunc (``np.minimum.at`` for
   label/distance flooding, ``np.add.at`` for rank/notice accumulation).
@@ -54,6 +57,7 @@ from repro.bsp.engine import BSPResult
 from repro.bsp.frontier import (
     DEFAULT_FRONTIER_POLICY,
     DENSE,
+    ArcSelection,
     FrontierPolicy,
     select_arcs,
 )
@@ -68,6 +72,16 @@ __all__ = [
     "DenseSuperstepContext",
     "DenseVertexProgram",
 ]
+
+
+def _compute_set(halted: np.ndarray, receivers: np.ndarray) -> np.ndarray:
+    """Sorted ids of the vertices computing a superstep: the message
+    receivers plus every vertex that has not voted to halt."""
+    if halted.all():
+        return receivers
+    computing = ~halted
+    computing[receivers] = True
+    return np.flatnonzero(computing)
 
 
 class DenseSuperstepContext:
@@ -308,9 +322,10 @@ class DenseBSPEngine:
         self._agg_current: dict[str, Any] = {}
         self._agg_visible: dict[str, Any] = {}
         # Pending-scatter state shared with the gather of the next
-        # superstep (see _scatter/_gather): the arc selection (mask or
-        # index array), the raw flood size, and the enqueue histogram.
-        self._pending_sel: np.ndarray | None = None
+        # superstep (see _select/_gather): the arc selection, the arcs'
+        # destinations, the raw flood size, and the enqueue histogram.
+        self._pending_sel: ArcSelection | None = None
+        self._pending_dst: np.ndarray | None = None
         self._pending_raw: int = 0
         self._pending_hist: np.ndarray | None = None
 
@@ -423,12 +438,13 @@ class DenseBSPEngine:
             superstep = 0
 
         self._begin_run(program, values0)
-        # The pending-scatter state (arc selection / enqueue histogram of
-        # the current senders) is carried across supersteps so scatter
-        # (enqueue accounting) and gather (delivery) share one selection
-        # computation and the receiver set falls out of the histogram
-        # instead of a sort.  It is empty right after a resume and is
-        # recomputed from the senders.
+        # The pending-scatter state (arc selection / destinations /
+        # enqueue histogram of the current senders) is carried across
+        # supersteps so scatter (enqueue accounting) and gather
+        # (delivery) share one selection and one ``col_idx`` pass, and
+        # the receiver set falls out of the histogram instead of a sort.
+        # It is empty right after a resume and is recomputed from the
+        # senders.
         self._scatter_reset()
         tel = self.telemetry
         while superstep < max_supersteps:
@@ -453,12 +469,7 @@ class DenseBSPEngine:
                     inbox, receivers, raw_received = self._gather(
                         program, senders, identity
                     )
-                if self.halted.all():
-                    compute_set = receivers
-                else:
-                    compute_set = np.union1d(
-                        receivers, np.flatnonzero(~self.halted)
-                    )
+                compute_set = _compute_set(self.halted, receivers)
                 received = (
                     int(receivers.size)
                     if self.combine_messages
@@ -556,8 +567,10 @@ class DenseBSPEngine:
         self.values = values
 
     def _scatter_reset(self) -> None:
-        """Drop pending-scatter state (start of a run or resume)."""
+        """Drop pending-scatter state (start of a run or resume, or a
+        superstep that sent nothing)."""
         self._pending_sel = None
+        self._pending_dst = None
         self._pending_raw = 0
         self._pending_hist = None
 
@@ -583,6 +596,24 @@ class DenseBSPEngine:
                 superstep=self._tel_superstep,
             )
         return mode
+
+    def _select(self, senders: np.ndarray, flood_arcs: int) -> np.ndarray:
+        """Select the out-arcs of ``senders`` and retain them for the
+        delivery; returns the per-destination enqueue histogram.
+
+        A selection of every arc indexes ``col_idx`` as a view, and its
+        histogram is the graph's in-degree vector: nothing is computed.
+        """
+        graph = self.graph
+        mode = self._choose_mode(senders, flood_arcs)
+        sel = select_arcs(senders, graph.row_ptr, mode)
+        dst = graph.col_idx[sel]
+        self._pending_sel = sel
+        self._pending_dst = dst
+        self._pending_raw = flood_arcs
+        if isinstance(sel, slice):
+            return graph.in_degrees()
+        return enqueue_histogram(dst, graph.num_vertices)
 
     def _gather(
         self,
@@ -612,15 +643,11 @@ class DenseBSPEngine:
             return empty_inbox, np.empty(0, dtype=np.int64), 0
 
         if self._pending_sel is None:  # resumed run: no prior scatter
-            raw = self._flood_arcs(senders)
-            mode = self._choose_mode(senders, raw)
-            self._pending_sel = select_arcs(senders, graph.row_ptr, mode)
-            self._pending_raw = raw
-        if self._pending_hist is None:
-            self._pending_hist = enqueue_histogram(
-                graph.col_idx[self._pending_sel], n
+            self._pending_hist = self._select(
+                senders, self._flood_arcs(senders)
             )
         sel = self._pending_sel
+        dst = self._pending_dst
         raw = self._pending_raw
         receivers = (
             np.flatnonzero(self._pending_hist)
@@ -632,7 +659,6 @@ class DenseBSPEngine:
         def inbox() -> np.ndarray:
             tel = self.telemetry
             with tel.span("deliver", category="phase", superstep=superstep):
-                dst = graph.col_idx[sel]
                 payload = np.asarray(
                     program.arc_payload(graph, self.values, sel)
                 )
@@ -655,20 +681,14 @@ class DenseBSPEngine:
         """Account the new senders' outgoing flood.
 
         Returns ``(sent_raw, enqueues_per_destination)`` and retains the
-        arc selection so the next superstep's gather reuses it.
+        arc selection and its destinations so the next superstep's
+        gather reuses them.
         """
-        graph = self.graph
         sent_raw = self._flood_arcs(new_senders)
         if not sent_raw:
-            self._pending_sel = None
-            self._pending_raw = 0
+            self._scatter_reset()
             return 0, None
-        mode = self._choose_mode(new_senders, sent_raw)
-        sel = select_arcs(new_senders, graph.row_ptr, mode)
-        self._pending_sel = sel
-        self._pending_raw = sent_raw
-        enq = enqueue_histogram(graph.col_idx[sel], graph.num_vertices)
-        return sent_raw, enq
+        return sent_raw, self._select(new_senders, sent_raw)
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:

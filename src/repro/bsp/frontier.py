@@ -1,8 +1,8 @@
 """Frontier representation and sparse/dense arc selection.
 
 The dense engines express every superstep's message traffic as "select
-all out-arcs of the sender set, then operate on them in arc order".  Two
-selection representations implement that contract:
+all out-arcs of the sender set, then operate on them in arc order".
+Three selection forms implement that contract:
 
 * **dense** — a boolean mask over the whole arc array
   (:func:`~repro.bsp._scatter.arcs_from`).  Building and applying it
@@ -12,10 +12,16 @@ selection representations implement that contract:
 * **sparse** — an int64 array of the selected arc *indices*, built by
   concatenating each sender's CSR slice (:func:`arc_indices`).  Cost is
   proportional to the frontier-incident arcs only.
+* **full** — the slice ``slice(0, num_arcs)``, returned in place of the
+  mask whenever the senders' out-arcs are *all* the arcs (CC's first
+  round, every PageRank round).  Indexing with it yields views of the
+  graph's own arrays: nothing is built, nothing is copied.  It is a
+  property of the flood, not a policy decision, so it needs no
+  threshold and counts as dense in ``frontier_mode``.
 
-Both representations index NumPy arc-parallel arrays (``col_idx``,
-``weights``, ``arc_sources``) identically and in the same ascending arc
-order, so every downstream kernel — payload evaluation, per-destination
+All forms index NumPy arc-parallel arrays (``col_idx``, ``weights``,
+``arc_sources``) identically and in the same ascending arc order, so
+every downstream kernel — payload evaluation, per-destination
 histograms, combiner folds — produces bit-identical results either way.
 :class:`FrontierPolicy` picks the representation per superstep with the
 GBBS-style heuristic: go dense once the frontier-incident arc count
@@ -31,12 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from repro.bsp._scatter import arcs_from
 from repro.graph.properties import _ragged_arange
 
-#: An arc selection: boolean mask over all arcs (dense) or sorted int64
-#: arc indices (sparse).  Opaque to programs — valid only as a fancy
-#: index into arc-parallel arrays or via :func:`selected_arc_count`.
-ArcSelection = NDArray[np.bool_] | NDArray[np.int64]
+#: An arc selection: boolean mask over all arcs (dense), sorted int64
+#: arc indices (sparse), or the slice covering every arc (full).  Opaque
+#: to programs — valid only as an index into arc-parallel arrays or via
+#: :func:`selected_arc_count`.
+ArcSelection = NDArray[np.bool_] | NDArray[np.int64] | slice
 
 __all__ = [
     "ArcSelection",
@@ -124,19 +132,24 @@ def select_arcs(
 ) -> ArcSelection:
     """Arc selection for ``senders`` in the given representation.
 
-    Returns a boolean mask (``mode="dense"``) or an int64 index array
-    (``mode="sparse"``); both select identical arcs in identical order.
+    Returns an int64 index array (``mode="sparse"``) or, for
+    ``mode="dense"``, a boolean mask — unless the senders' out-arcs are
+    all the arcs there are, in which case the mask would be all-True and
+    the slice over the whole arc array stands in for it.  All three
+    select identical arcs in identical order.
     """
     if mode == SPARSE:
         return arc_indices(senders, row_ptr)
-    n = row_ptr.size - 1
-    vertex_mask = np.zeros(n, dtype=bool)
-    vertex_mask[senders] = True
-    return np.repeat(vertex_mask, np.diff(row_ptr))
+    num_arcs = int(row_ptr[-1])
+    if int(np.diff(row_ptr)[senders].sum()) == num_arcs:
+        return slice(0, num_arcs)
+    return arcs_from(senders, row_ptr)
 
 
 def selected_arc_count(selection: ArcSelection) -> int:
-    """Number of arcs a selection picks (mask or index array)."""
+    """Number of arcs a selection picks (any of the three forms)."""
+    if isinstance(selection, slice):
+        return int(selection.stop - selection.start)
     if selection.dtype == np.bool_:
         return int(np.count_nonzero(selection))
     return int(selection.size)

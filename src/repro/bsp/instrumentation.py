@@ -68,9 +68,17 @@ def record_superstep(
                     "sent > 0 requires the per-destination histogram"
                 )
             sites = np.asarray(enqueues_per_destination)
-            sites = sites[sites > 0]
+            if sites.min() < 0:
+                raise ValueError("site counts must be non-negative")
             global_counter = int(np.ceil(sent / costs.message_queue_shard))
-            r.atomics_per_site(np.concatenate([sites, [global_counter]]))
+            # One site per destination plus the global counter.  Only
+            # their total and their maximum are recorded, so reduce the
+            # histogram here instead of copying it: the hottest
+            # destination and the counter go in as sites, the rest of
+            # the histogram as a plain count.
+            hottest = int(sites.max())
+            r.count(atomics=int(sites.sum()) - hottest)
+            r.atomics_per_site([hottest, global_counter])
 
 
 def with_queue_design(

@@ -1249,7 +1249,7 @@ class ShardedBSPEngine(DenseBSPEngine):
         """Scatter exchange: every shard selects and histograms its arcs."""
         self._shard_senders = self._split(senders)
         self._shard_mode = self._choose_mode(senders, flood_arcs)
-        self._pending_sel = None
+        self._pending_sel = self._pending_dst = None
         self._pending_raw = flood_arcs
         self._participants = tuple(
             w for w, s in enumerate(self._shard_senders) if s.size

@@ -769,17 +769,17 @@ class _FileLinter:
                     "REP106", node,
                     f"`{selname}` passed to "
                     f"{path or 'a function'}(); the selection is a "
-                    "mask or an index array depending on the frontier "
-                    "decision — use it only as a fancy index or via "
+                    "mask, an index array or a slice depending on the "
+                    "flood — use it only as an index or via "
                     "selected_arc_count()",
                 )
             else:
                 self._report(
                     "REP106", node,
                     f"`{selname}` used as a value (arithmetic, len, "
-                    "attribute access); mask and index representations "
-                    "disagree under every such use — index with it or "
-                    "call selected_arc_count()",
+                    "attribute access); the mask, index-array and slice "
+                    "forms disagree under every such use — index with "
+                    "it or call selected_arc_count()",
                 )
 
 

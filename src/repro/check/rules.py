@@ -125,11 +125,12 @@ _RULE_LIST = (
             "applies an order-sensitive accumulator (cumsum, "
             "accumulate, builtin sum) to per-arc payloads.  The "
             "selection is a boolean mask or an int64 index array "
-            "depending on the per-superstep frontier decision — the two "
-            "representations only agree when used as an opaque fancy "
-            "index (arr[selection]) or via "
+            "depending on the per-superstep frontier decision, or the "
+            "slice over the whole arc array when every arc is selected "
+            "— the three forms only agree when used as an opaque index "
+            "(arr[selection]) or via "
             "repro.bsp.frontier.selected_arc_count; anything else makes "
-            "sparse and dense supersteps diverge."
+            "sparse, dense and all-arc supersteps diverge."
         ),
     ),
 )

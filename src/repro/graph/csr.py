@@ -160,6 +160,22 @@ class CSRGraph:
             self._degree_cache["degrees"] = cached
         return cached
 
+    def in_degrees(self) -> np.ndarray:
+        """Vector of all vertex in-degrees (cached; read-only).
+
+        Equal to :meth:`degrees` on an undirected graph.  It is also the
+        per-destination message count of a superstep in which every arc
+        carries a message, which is why the BSP engines ask for it.
+        """
+        cached = self._degree_cache.get("in_degrees")
+        if cached is None:
+            cached = np.bincount(
+                self.col_idx, minlength=self.num_vertices
+            ).astype(OFFSET_DTYPE, copy=False)
+            cached.setflags(write=False)
+            self._degree_cache["in_degrees"] = cached
+        return cached
+
     def has_edge(self, u: int, v: int) -> bool:
         """True when arc u→v is stored.  O(log d_u) on sorted adjacency."""
         nbrs = self.neighbors(u)
@@ -247,11 +263,7 @@ class CSRGraph:
         # weights paired in their original relative order.
         order = np.lexsort((sources, self.col_idx))
         new_ptr = np.zeros(self.num_vertices + 1, dtype=OFFSET_DTYPE)
-        if self.col_idx.size:
-            new_ptr[1:] = np.bincount(
-                self.col_idx, minlength=self.num_vertices
-            )
-        np.cumsum(new_ptr, out=new_ptr)
+        np.cumsum(self.in_degrees(), out=new_ptr[1:])
         return CSRGraph(
             row_ptr=new_ptr,
             col_idx=sources[order],

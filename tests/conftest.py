@@ -34,6 +34,26 @@ def fan_out_every_superstep(monkeypatch):
 
 
 @pytest.fixture
+def selection_forms(monkeypatch):
+    """The form of every arc selection the in-process engine makes, in
+    order: ``"full"`` (slice), ``"dense"`` (mask) or ``"sparse"``."""
+    from repro.bsp.frontier import select_arcs
+
+    forms = []
+
+    def recording_select_arcs(senders, row_ptr, mode):
+        selection = select_arcs(senders, row_ptr, mode)
+        if isinstance(selection, slice):
+            forms.append("full")
+        else:
+            forms.append("dense" if selection.dtype == bool else "sparse")
+        return selection
+
+    monkeypatch.setattr("repro.bsp.dense.select_arcs", recording_select_arcs)
+    return forms
+
+
+@pytest.fixture
 def two_triangles():
     """Two triangles sharing vertex 2 (bowtie): 2 triangles, known CCs."""
     return from_edge_list([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])

@@ -224,6 +224,32 @@ class TestLinterRules:
         """)
         assert rule_ids(result) == ["REP106"]
 
+    @pytest.mark.parametrize(
+        "misuse",
+        [
+            "np.ones(len(selection))",
+            "np.ones(selection.size)",
+            "values[selection.stop - 1:]",
+            "values[: selection.sum()]",
+            "values[np.flatnonzero(selection)]",
+        ],
+    )
+    def test_rep106_sizing_or_arithmetic_on_the_selection(self, misuse):
+        # A mask has len() == num_arcs, an index array has no .stop and
+        # the whole-array slice has neither len() nor .size: every one
+        # of these works for one form and breaks for the next.
+        result = lint(f"""
+            class P(DenseVertexProgram):
+                def arc_payload(self, graph, values, selection):
+                    return {misuse}
+        """)
+        assert set(rule_ids(result)) == {"REP106"}
+
+    def test_rep106_summary_names_all_three_forms(self):
+        summary = RULES["REP106"].summary
+        for form in ("boolean mask", "index array", "slice"):
+            assert form in summary
+
     def test_rep106_fancy_index_and_count_are_clean(self):
         result = lint("""
             from repro.bsp.frontier import selected_arc_count

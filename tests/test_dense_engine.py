@@ -22,10 +22,14 @@ from repro.bsp import (
     CheckpointStore,
     DenseBSPEngine,
     DenseVertexProgram,
+    FrontierPolicy,
+    ShardedBSPEngine,
     SumAggregator,
+    VertexProgram,
     load_checkpoint,
     save_checkpoint,
 )
+from repro.bsp.dense import _compute_set
 from repro.bsp_algorithms import (
     BSPBreadthFirstSearch,
     BSPConnectedComponents,
@@ -164,6 +168,226 @@ class TestAlgorithmEquivalence:
         assert np.array_equal(plain.values, combined.values)
         assert plain.num_supersteps == combined.num_supersteps
         assert combined.total_messages <= plain.total_messages
+
+
+# -- the all-arc flood -------------------------------------------------------
+
+
+def directed_weighted_graph():
+    """Directed, weighted, with a dangling vertex (5), an isolated one
+    (6) and a vertex that only sends (0)."""
+    edges = [
+        (0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 1), (3, 4), (4, 2),
+        (4, 5), (2, 5),
+    ]
+    weights = [2.0, 7.5, 1.25, 4.0, 0.5, 3.0, 1.0, 6.0, 2.5, 9.0]
+    return from_edge_list(
+        edges, num_vertices=7, directed=True, weights=weights
+    )
+
+
+class TestFullFlood:
+    """Supersteps whose senders' out-arcs are all the arcs there are."""
+
+    def test_kcore_above_max_degree_drops_everyone_at_once(
+        self, graph, selection_forms
+    ):
+        """Every vertex drops in superstep 0; the payload is sized by
+        ``selected_arc_count`` alone."""
+        k = int(graph.degrees().max()) + 1
+        ref = BSPEngine(graph).run(BSPKCore(k))
+        program = DenseKCore(k)
+        dense = DenseBSPEngine(graph).run(program)
+        assert_results_equal(ref, dense)
+        assert program.dropped_per_superstep[0] == graph.num_vertices
+        assert selection_forms == ["full"]
+        assert np.all(dense.values == -1)
+
+    def test_pagerank_directed_weighted(self, selection_forms):
+        g = directed_weighted_graph()
+        aggs = {"dangling": SumAggregator()}
+        ref = BSPEngine(g, aggregators=aggs).run(BSPPageRank(num_supersteps=6))
+        dense = DenseBSPEngine(g, aggregators=aggs).run(
+            DensePageRank(num_supersteps=6)
+        )
+        assert_results_equal(ref, dense, float_values=True)
+        assert selection_forms == ["full"] * 6
+
+    def test_pagerank_sums_are_bit_identical_to_the_mask_form(self):
+        """A slice picks the same arcs in the same order, so the float
+        folds do not move by one ulp."""
+        g = rmat(scale=8, edge_factor=8, seed=7)
+        full = DenseBSPEngine(g).run(DensePageRank(num_supersteps=8))
+        masked = DenseBSPEngine(
+            g, frontier_policy=FrontierPolicy(mode="sparse")
+        ).run(DensePageRank(num_supersteps=8))
+        assert np.array_equal(full.values, masked.values)
+
+    def test_sssp_weighted_out_star(self, selection_forms):
+        """The source's out-arcs are all the arcs: ``weights[selection]``
+        is read through the slice."""
+        n = 9
+        g = from_edge_list(
+            [(0, v) for v in range(1, n)],
+            num_vertices=n,
+            directed=True,
+            weights=[0.5 * v for v in range(1, n)],
+        )
+        policy = FrontierPolicy(mode="dense")
+        ref = BSPEngine(g).run(BSPShortestPaths(0))
+        dense = DenseBSPEngine(g, frontier_policy=policy).run(
+            DenseShortestPaths(0)
+        )
+        assert_results_equal(ref, dense)
+        assert selection_forms == ["full"]
+
+    def test_sssp_directed_weighted(self):
+        g = directed_weighted_graph()
+        for mode in ("auto", "dense"):
+            ref = BSPEngine(g).run(BSPShortestPaths(0))
+            dense = DenseBSPEngine(
+                g, frontier_policy=FrontierPolicy(mode=mode)
+            ).run(DenseShortestPaths(0))
+            assert_results_equal(ref, dense)
+
+    @pytest.mark.parametrize("combine_messages", [False, True])
+    def test_histogram_is_the_cached_in_degree_vector(self, combine_messages):
+        """The engine reads the graph's in-degrees; it never writes them."""
+        g = rmat(scale=6, edge_factor=8, seed=3)
+        before = g.in_degrees().copy()
+        plain = DenseBSPEngine(
+            g,
+            combine_messages=combine_messages,
+            frontier_policy=FrontierPolicy(mode="sparse"),
+        ).run(DenseConnectedComponents())
+        full = DenseBSPEngine(g, combine_messages=combine_messages).run(
+            DenseConnectedComponents()
+        )
+        assert full.messages_per_superstep == plain.messages_per_superstep
+        assert_traces_equal(plain, full)
+        assert np.array_equal(g.in_degrees(), before)
+
+
+# -- the active set ----------------------------------------------------------
+
+
+class WakefulComponents(VertexProgram):
+    """Min-label flooding in which every third vertex stays awake for
+    ``rounds`` supersteps instead of voting to halt: the compute set is
+    then a true union — messages land on halted and on awake vertices,
+    and awake vertices compute with or without a message."""
+
+    def __init__(self, rounds):
+        self.rounds = rounds
+
+    def initial_value(self, vertex, graph):
+        return vertex
+
+    def compute(self, ctx, messages):
+        label = min(messages, default=ctx.value)
+        if ctx.superstep == 0:
+            ctx.send_to_neighbors(ctx.value)
+        elif label < ctx.value:
+            ctx.value = label
+            ctx.send_to_neighbors(label)
+        if ctx.vertex_id % 3 or ctx.superstep >= self.rounds:
+            ctx.vote_to_halt()
+
+
+class DenseWakefulComponents(DenseConnectedComponents):
+    """Array twin of :class:`WakefulComponents`."""
+
+    def __init__(self, rounds):
+        self.rounds = rounds
+
+    def compute(self, ctx):
+        labels, receivers = ctx.values, ctx.receivers
+        if ctx.superstep == 0:
+            senders = ctx.active
+        else:
+            senders = receivers[ctx.messages[receivers] < labels[receivers]]
+            labels[senders] = ctx.messages[senders]
+        if ctx.superstep >= self.rounds:
+            ctx.vote_to_halt()
+        else:
+            ctx.vote_to_halt(ctx.active[ctx.active % 3 != 0])
+        return senders
+
+
+class TestActiveSet:
+    ROUNDS = 4
+
+    def test_some_halt_some_never_do(self, graph):
+        ref = BSPEngine(graph).run(WakefulComponents(self.ROUNDS))
+        dense = DenseBSPEngine(graph).run(
+            DenseWakefulComponents(self.ROUNDS)
+        )
+        assert_results_equal(ref, dense)
+        plain = DenseBSPEngine(graph).run(DenseConnectedComponents())
+        assert np.array_equal(dense.values, plain.values)
+        # The awake vertices compute in supersteps that sent them nothing.
+        awake = len(range(0, graph.num_vertices, 3))
+        assert all(
+            active >= awake
+            for active in dense.active_per_superstep[: self.ROUNDS + 1]
+        )
+        assert dense.num_supersteps > self.ROUNDS
+
+    def test_messages_land_on_both_kinds(self):
+        """Some superstep's receivers include halted and awake vertices
+        while other awake vertices compute without a message: neither
+        operand of the union contains the other."""
+        g = rmat(scale=6, edge_factor=8, seed=3)
+        seen = []
+
+        class Recording(DenseWakefulComponents):
+            def compute(self, ctx):
+                seen.append((ctx.receivers.copy(), ctx.active.copy()))
+                return super().compute(ctx)
+
+        DenseBSPEngine(g).run(Recording(self.ROUNDS))
+        proper = [
+            s
+            for s, (receivers, active) in enumerate(seen)
+            if np.any(receivers % 3 == 0)
+            and np.any(receivers % 3 != 0)
+            and np.setdiff1d(active, receivers).size
+        ]
+        assert proper and max(proper) <= self.ROUNDS
+        for receivers, active in seen[1:]:
+            assert np.all(np.diff(active) > 0)
+            assert np.isin(receivers, active).all()
+
+    @pytest.mark.usefixtures("fan_out_every_superstep")
+    @pytest.mark.parametrize("num_workers", [1, 2, 4])
+    def test_sharded_matches_reference(self, num_workers):
+        g = rmat(scale=7, edge_factor=8, seed=5)
+        ref = BSPEngine(g).run(WakefulComponents(self.ROUNDS))
+        with ShardedBSPEngine(g, num_workers=num_workers) as engine:
+            got = engine.run(DenseWakefulComponents(self.ROUNDS))
+        assert_results_equal(ref, got)
+
+    @given(
+        st.lists(st.booleans(), min_size=0, max_size=40).flatmap(
+            lambda halted: st.tuples(
+                st.just(halted),
+                st.sets(st.integers(0, len(halted) - 1))
+                if halted
+                else st.just(set()),
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_compute_set_is_the_sorted_union(self, case):
+        halted_bits, receiver_ids = case
+        halted = np.asarray(halted_bits, dtype=bool)
+        receivers = np.asarray(sorted(receiver_ids), dtype=np.int64)
+        before = halted.copy()
+        got = _compute_set(halted, receivers)
+        want = np.union1d(receivers, np.flatnonzero(~halted))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert np.array_equal(halted, before)
 
 
 class TestPropertyEquivalence:
@@ -312,13 +536,11 @@ class DenseCrashError(RuntimeError):
     pass
 
 
-class CrashingDenseCC(DenseConnectedComponents):
-    """Dense connected components that dies when first reaching a
-    superstep."""
+class CrashesOnce:
+    """Mixin: the program dies when first reaching ``crash_at``."""
 
-    def __init__(self, crash_at: int):
-        self.crash_at = crash_at
-        self.armed = True
+    crash_at: int
+    armed = True
 
     def compute(self, ctx):
         if self.armed and ctx.superstep == self.crash_at:
@@ -326,6 +548,17 @@ class CrashingDenseCC(DenseConnectedComponents):
                 f"injected failure at superstep {ctx.superstep}"
             )
         return super().compute(ctx)
+
+
+class CrashingDenseCC(CrashesOnce, DenseConnectedComponents):
+    def __init__(self, crash_at: int):
+        self.crash_at = crash_at
+
+
+class CrashingDensePageRank(CrashesOnce, DensePageRank):
+    def __init__(self, crash_at: int, num_supersteps: int):
+        super().__init__(num_supersteps=num_supersteps)
+        self.crash_at = crash_at
 
 
 @pytest.fixture(scope="module")
@@ -355,6 +588,43 @@ class TestDenseFailureRecovery:
             recovered.messages_per_superstep == clean.messages_per_superstep
         )
         assert recovered.active_per_superstep == clean.active_per_superstep
+
+    @pytest.mark.parametrize(
+        "make_clean,make_crashing",
+        [
+            (DenseConnectedComponents, lambda: CrashingDenseCC(1)),
+            (
+                lambda: DensePageRank(num_supersteps=5),
+                lambda: CrashingDensePageRank(3, num_supersteps=5),
+            ),
+        ],
+        ids=["cc", "pagerank"],
+    )
+    def test_resume_right_after_a_full_flood(
+        self, crash_graph, selection_forms, make_clean, make_crashing
+    ):
+        """The checkpoint holds senders whose flood is every arc; the
+        resumed gather re-selects them in the same (full) form."""
+        clean = DenseBSPEngine(crash_graph).run(make_clean())
+        store = CheckpointStore()
+        program = make_crashing()
+        crash_at = program.crash_at
+        engine = DenseBSPEngine(crash_graph)
+        with pytest.raises(DenseCrashError):
+            engine.run(program, checkpoint_every=1, checkpoint_store=store)
+        assert store.latest.superstep == crash_at
+        assert store.latest.dense_senders.size == crash_graph.num_vertices
+        program.armed = False
+        del selection_forms[:]
+        resumed = engine.run(program, resume_from=store.latest)
+        assert selection_forms[0] == "full"
+        assert np.array_equal(resumed.values, clean.values)
+        assert resumed.num_supersteps == clean.num_supersteps
+        assert (
+            resumed.messages_per_superstep == clean.messages_per_superstep
+        )
+        assert resumed.active_per_superstep == clean.active_per_superstep
+        assert resumed.trace.regions == clean.trace.regions[crash_at:]
 
     def test_trace_covers_only_replayed_supersteps(self, crash_graph):
         clean = DenseBSPEngine(crash_graph).run(DenseConnectedComponents())

@@ -120,15 +120,60 @@ class TestSelection:
             mask = arcs_from(senders, g.row_ptr)
             idx = arc_indices(senders, g.row_ptr)
             assert np.array_equal(np.flatnonzero(mask), idx)
-            assert np.array_equal(
-                select_arcs(senders, g.row_ptr, DENSE), mask
-            )
+            dense = select_arcs(senders, g.row_ptr, DENSE)
+            if mask.all():  # every arc: the slice stands in for the mask
+                assert dense == slice(0, g.num_arcs)
+            else:
+                assert np.array_equal(dense, mask)
             assert np.array_equal(
                 select_arcs(senders, g.row_ptr, SPARSE), idx
             )
-            assert selected_arc_count(mask) == selected_arc_count(idx)
-            # Both representations index arc-parallel arrays identically.
+            assert (
+                selected_arc_count(mask)
+                == selected_arc_count(idx)
+                == selected_arc_count(dense)
+            )
+            # All representations index arc-parallel arrays identically.
             assert np.array_equal(g.col_idx[mask], g.col_idx[idx])
+            assert np.array_equal(g.col_idx[dense], g.col_idx[idx])
+
+    def test_full_flood_is_the_whole_arc_slice(self):
+        """Every arc selected <=> the dense form is ``slice(0, m)``."""
+        # Vertices 2 and 5 are isolated; 0 has out-arcs only.
+        g = from_edge_list(
+            [(0, 1), (0, 3), (1, 3), (3, 4), (4, 1)],
+            num_vertices=6,
+            directed=True,
+            weights=[1.0, 2.0, 3.0, 4.0, 5.0],
+        )
+        everyone = np.arange(6, dtype=np.int64)
+        with_out_arcs = np.flatnonzero(g.degrees()).astype(np.int64)
+        assert with_out_arcs.tolist() == [0, 1, 3, 4]
+        for senders in (everyone, with_out_arcs):
+            full = select_arcs(senders, g.row_ptr, DENSE)
+            assert full == slice(0, g.num_arcs)
+            assert selected_arc_count(full) == g.num_arcs
+            # Indexing with it copies nothing.
+            for arc_array in (g.col_idx, g.weights, g.arc_sources()):
+                assert np.shares_memory(arc_array[full], arc_array)
+                assert np.array_equal(
+                    arc_array[full],
+                    arc_array[arc_indices(senders, g.row_ptr)],
+                )
+            # The form belongs to the dense mode only.
+            forced = select_arcs(senders, g.row_ptr, SPARSE)
+            assert isinstance(forced, np.ndarray)
+            assert forced.tolist() == list(range(g.num_arcs))
+
+    def test_proper_subset_is_never_the_slice(self):
+        g = rmat(scale=6, edge_factor=8, seed=3)
+        with_out_arcs = np.flatnonzero(g.degrees()).astype(np.int64)
+        for drop in range(with_out_arcs.size):
+            senders = np.delete(with_out_arcs, drop)
+            selection = select_arcs(senders, g.row_ptr, DENSE)
+            assert isinstance(selection, np.ndarray)
+            assert selection.dtype == bool
+            assert selected_arc_count(selection) < g.num_arcs
 
 
 # -- representation independence -------------------------------------------
@@ -160,18 +205,27 @@ class TestRepresentationIndependence:
         ).run(make_dense(*args))
         assert_results_equal(ref, forced)
 
-    def test_switch_at_every_superstep(self, medium_graph):
-        """Flipping sparse->dense at any superstep changes nothing."""
+    def test_switch_at_every_superstep(self, medium_graph, selection_forms):
+        """Flipping sparse->dense at any superstep changes nothing —
+        whether the dense supersteps include the all-arc flood of
+        superstep 0 (the full form) or only masks."""
         ref = BSPEngine(medium_graph).run(BSPConnectedComponents())
         supersteps = ref.num_supersteps
+        sending = sum(1 for sent in ref.messages_per_superstep if sent)
         for flip in range(supersteps + 1):
             policy = ScheduledPolicy(
                 {s: DENSE for s in range(flip, supersteps + 1)}
             )
+            del selection_forms[:]
             got = DenseBSPEngine(medium_graph, frontier_policy=policy).run(
                 DenseConnectedComponents()
             )
             assert_results_equal(ref, got)
+            assert len(selection_forms) == sending
+            assert selection_forms[0] == ("full" if flip == 0 else "sparse")
+            assert selection_forms[1:] == [
+                "sparse" if s < flip else "dense" for s in range(1, sending)
+            ]
 
     @pytest.mark.usefixtures("fan_out_every_superstep")
     @pytest.mark.parametrize("num_workers", WORKER_COUNTS)

@@ -77,6 +77,39 @@ class TestReadOnlyContract:
             d1[0] = 3
 
 
+class TestInDegrees:
+    def test_directed_graph(self):
+        g = from_edge_list(
+            [(0, 1), (0, 2), (1, 2), (3, 2), (2, 0)], directed=True
+        )
+        assert g.in_degrees().tolist() == [1, 1, 3, 0]
+        assert g.in_degrees().dtype == OFFSET_DTYPE
+        # In-degrees of a graph are the out-degrees of its transpose.
+        assert np.array_equal(g.in_degrees(), g.reverse().degrees())
+
+    def test_undirected_graph_equals_degrees(self):
+        g = from_edge_list([(0, 1), (1, 2), (1, 3)])
+        assert np.array_equal(g.in_degrees(), g.degrees())
+
+    def test_isolated_vertices_count_zero(self):
+        g = from_edge_list([(1, 2)], num_vertices=6, directed=True)
+        assert g.in_degrees().tolist() == [0, 0, 1, 0, 0, 0]
+
+    def test_empty_graph(self):
+        g = from_edge_list([], num_vertices=0)
+        assert g.in_degrees().shape == (0,)
+        no_arcs = from_edge_list([], num_vertices=3, directed=True)
+        assert no_arcs.in_degrees().tolist() == [0, 0, 0]
+        assert no_arcs.reverse().row_ptr.tolist() == [0, 0, 0, 0]
+
+    def test_cached_and_frozen(self):
+        g = from_edge_list([(0, 1), (2, 1)], directed=True)
+        first = g.in_degrees()
+        assert g.in_degrees() is first
+        with pytest.raises(ValueError):
+            first[1] = 0
+
+
 class TestAdjacency:
     def test_neighbors_sorted(self):
         g = from_edge_list([(0, 2), (0, 1), (0, 3)])

@@ -1,10 +1,20 @@
 """Tests for the message-queue design re-accounting (§VII)."""
 
-import pytest
+import dataclasses
 
-from repro.bsp.instrumentation import QUEUE_DESIGNS, with_queue_design
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.bsp.instrumentation import (
+    QUEUE_DESIGNS,
+    record_superstep,
+    with_queue_design,
+)
 from repro.bsp_algorithms import bsp_connected_components
 from repro.graph import rmat
+from repro.runtime.loops import Tracer
 from repro.xmt.calibration import DEFAULT_COSTS
 from repro.xmt.cost_model import simulate
 from repro.xmt.machine import XMTMachine
@@ -108,3 +118,91 @@ class TestScalingConsequences:
             m,
         ).total_seconds
         assert single > 3 * per_vertex
+
+
+def record_with_copied_sites(tracer, *, superstep, active, received, sent,
+                             enqueues_per_destination, costs):
+    """The accounting as first written: the non-zero sites are filtered
+    out, joined with the global counter and handed over as one array."""
+    with tracer.region(
+        "bsp/superstep", items=max(active, 1), kind="superstep",
+        iteration=superstep,
+    ) as r:
+        r.count(
+            instructions=(
+                active * costs.vertex_touch_instructions
+                + received * costs.message_receive_instructions
+                + sent * costs.message_enqueue_instructions
+            ),
+            reads=received * costs.message_receive_reads + active,
+            writes=sent * costs.message_enqueue_writes + active,
+        )
+        if sent:
+            sites = np.asarray(enqueues_per_destination)
+            sites = sites[sites > 0]
+            counter = int(np.ceil(sent / costs.message_queue_shard))
+            r.atomics_per_site(np.concatenate([sites, [counter]]))
+
+
+class TestRecordSuperstep:
+    @given(
+        st.lists(st.integers(min_value=0, max_value=5000), min_size=1,
+                 max_size=200),
+        st.booleans(),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_reduced_histogram_records_the_same_region(
+        self, histogram, combine_messages, received
+    ):
+        enq = np.asarray(histogram, dtype=np.int64)
+        if combine_messages:  # the engines' post-fold accounting
+            enq = np.minimum(enq, 1)
+        sent = int(enq.sum())
+        quantities = dict(
+            superstep=3, active=len(histogram), received=received,
+            sent=sent, enqueues_per_destination=enq if sent else None,
+            costs=DEFAULT_COSTS,
+        )
+        expected, got = Tracer(), Tracer()
+        record_with_copied_sites(expected, **quantities)
+        record_superstep(got, **quantities)
+        (want,), (have,) = expected.trace.regions, got.trace.regions
+        for f in dataclasses.fields(want):
+            assert getattr(have, f.name) == getattr(want, f.name), f.name
+
+    def test_histogram_is_not_modified(self):
+        enq = np.array([0, 4, 0, 9, 1], dtype=np.int64)
+        enq.setflags(write=False)  # e.g. the graph's cached in-degrees
+        tracer = Tracer()
+        record_superstep(
+            tracer, superstep=0, active=5, received=0, sent=14,
+            enqueues_per_destination=enq, costs=DEFAULT_COSTS,
+        )
+        (region,) = tracer.trace.regions
+        assert region.atomics == 14 + 1
+        assert region.atomic_max_site == 9
+
+    def test_sent_without_histogram_is_an_error(self):
+        with pytest.raises(ValueError, match="per-destination histogram"):
+            record_superstep(
+                Tracer(), superstep=0, active=1, received=0, sent=2,
+                enqueues_per_destination=None, costs=DEFAULT_COSTS,
+            )
+
+    def test_nothing_sent_needs_no_histogram(self):
+        tracer = Tracer()
+        record_superstep(
+            tracer, superstep=0, active=4, received=7, sent=0,
+            enqueues_per_destination=None, costs=DEFAULT_COSTS,
+        )
+        (region,) = tracer.trace.regions
+        assert region.atomics == 0 and region.atomic_max_site == 0
+
+    def test_negative_site_count_is_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            record_superstep(
+                Tracer(), superstep=0, active=2, received=0, sent=1,
+                enqueues_per_destination=np.array([2, -1]),
+                costs=DEFAULT_COSTS,
+            )
