@@ -9,6 +9,7 @@ the BSP/GraphCT gap a combiner would have closed on the Cray XMT.
 from conftest import once
 
 from repro.analysis.report import format_seconds
+from repro.bsp import make_engine
 from repro.bsp_algorithms import bsp_connected_components
 from repro.graphct import connected_components
 from repro.xmt.cost_model import simulate
@@ -21,7 +22,9 @@ def bench_combiner_ablation(benchmark, workload, capsys):
     def run():
         return (
             bsp_connected_components(graph),
-            bsp_connected_components(graph, combine_messages=True),
+            bsp_connected_components(
+                graph, engine=make_engine(graph, combine_messages=True)
+            ),
             connected_components(graph),
         )
 

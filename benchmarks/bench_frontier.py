@@ -1,23 +1,13 @@
-"""Frontier-adaptive BFS and byte-packed wire framing.
+"""Frontier-adaptive BFS.
 
-Two performance claims from the frontier work, both gated by the bench
-ledger:
-
-* **Frontier adaptation** — the pre-frontier BFS always swept the whole
-  arc array and materialized the inbox every superstep.  The adaptive
-  run switches to sparse selections on small frontiers and never reads
-  the inbox (it filters the engine's receiver set), with bit-identical
-  distances and modeled message counts — only wall time changes.
-* **Wire framing** — the sharded engine's byte-packed sender frames
-  replace whole-object pickling on the worker pipes;
-  :attr:`~repro.bsp.parallel.ShardedBSPEngine.pipe_bytes` records the
-  bytes actually crossing the pipes under each codec.  Every superstep
-  is made to fan out for this comparison (at ledger scale the engine
-  would otherwise keep them all in the parent and ship no frames).  Raw
-  byte counts are asserted inline (packed < pickled) but kept out of the
-  ledger payload: the pickled frames embed worker counters whose integer
-  encodings drift a few bytes run to run, which would trip the exact
-  gate.  The gated metric is the noisy ``packed_fraction`` ratio.
+The performance claim from the frontier work, gated by the bench
+ledger: the pre-frontier BFS always swept the whole arc array and
+materialized the inbox every superstep.  The adaptive run switches to
+sparse selections on small frontiers and never reads the inbox (it
+filters the engine's receiver set), with bit-identical distances and
+modeled message counts — only wall time changes.  The same BFS over two
+shard workers, every superstep made to fan out (at ledger scale the
+engine would otherwise keep them all in the parent), must agree too.
 """
 
 import time
@@ -84,41 +74,29 @@ def bench_frontier(benchmark, workload, capsys):
             lambda: DenseBSPEngine(graph),
             lambda: DenseBreadthFirstSearch(source),
         )
-        # Wire framing: the same BFS over 2 workers under each codec.
-        pipe_bytes = {}
-        sharded_values = {}
+        # The same BFS over 2 workers, every superstep on the pipes.
         with mock.patch.object(parallel, "_LOCAL_SUPERSTEP_ARCS", 0):
-            for wire in ("packed", "pickle"):
-                with ShardedBSPEngine(
-                    graph, num_workers=2, wire=wire
-                ) as engine:
-                    sharded = engine.run(DenseBreadthFirstSearch(source))
-                    pipe_bytes[wire] = engine.pipe_bytes
-                    sharded_values[wire] = sharded.values
-        return (
-            legacy, adaptive, t_legacy, t_adaptive, pipe_bytes, sharded_values,
-        )
+            with ShardedBSPEngine(graph, num_workers=2) as engine:
+                sharded = engine.run(DenseBreadthFirstSearch(source))
+                pipe_bytes = engine.pipe_bytes
+        return legacy, adaptive, t_legacy, t_adaptive, pipe_bytes, sharded
 
-    (
-        legacy, adaptive, t_legacy, t_adaptive, pipe_bytes, sharded_values,
-    ) = once(benchmark, run)
+    legacy, adaptive, t_legacy, t_adaptive, pipe_bytes, sharded = once(
+        benchmark, run
+    )
 
     # Same computation under every execution strategy, not merely the
     # same distances.
     assert np.array_equal(legacy.values, adaptive.values)
     assert legacy.num_supersteps == adaptive.num_supersteps
     assert legacy.messages_per_superstep == adaptive.messages_per_superstep
-    for wire in ("packed", "pickle"):
-        assert np.array_equal(adaptive.values, sharded_values[wire])
-    # Byte-packed frames must beat pickled frames on the pipe.
-    assert 0 < pipe_bytes["packed"] < pipe_bytes["pickle"]
+    assert np.array_equal(adaptive.values, sharded.values)
+    assert pipe_bytes > 0
 
     speedup = t_legacy / t_adaptive
-    packed_fraction = pipe_bytes["packed"] / pipe_bytes["pickle"]
     info = dict(
         supersteps=adaptive.num_supersteps,
         messages=sum(adaptive.messages_per_superstep),
-        packed_fraction=round(packed_fraction, 4),
         seconds={
             "legacy": round(t_legacy, 4),
             "adaptive": round(t_adaptive, 4),
@@ -141,8 +119,6 @@ def bench_frontier(benchmark, workload, capsys):
         print(
             f"\nfrontier (BFS, scale {workload.config.scale}): legacy "
             f"{format_seconds(t_legacy)} -> adaptive "
-            f"{format_seconds(t_adaptive)} ({speedup:.1f}x); pipe "
-            f"{pipe_bytes['pickle']:,} B pickled -> "
-            f"{pipe_bytes['packed']:,} B packed "
-            f"({1 / packed_fraction:.2f}x fewer)"
+            f"{format_seconds(t_adaptive)} ({speedup:.1f}x); "
+            f"{pipe_bytes:,} B on the pipes at 2 workers"
         )

@@ -72,40 +72,26 @@ from repro.bsp.parallel import (
 )
 from repro.bsp.vertex import VertexContext, VertexProgram
 
-from contextlib import contextmanager
-
 #: Engine selection modes accepted by :func:`make_engine`.
 ENGINE_MODES = ("dense", "sharded")
 
 
-@contextmanager
-def engine_for(graph, engine=None, **kwargs):
-    """Yield a run-ready engine for ``graph``.
+def engine_for(graph, engine=None):
+    """The engine an algorithm wrapper runs on: the caller's warm
+    ``engine`` (left open), else a default :class:`DenseBSPEngine`.
 
-    With ``engine`` given (a warm, caller-owned engine — e.g. the
-    service layer's persistent :class:`ShardedBSPEngine`), it is yielded
-    as-is and **not** closed afterwards; the remaining keyword arguments
-    are ignored because the engine's construction already fixed them.
-    The engine must have been built on the *same* graph object — running
-    a program against a different graph's shared-memory CSR would
-    silently compute on the wrong topology.
-
-    Without ``engine``, a fresh one is built via :func:`make_engine` and
-    closed when the block exits (the one-shot library-call path).
+    A caller's engine must have been built on the *same* graph object —
+    running a program against a different graph's shared-memory CSR
+    would silently compute on the wrong topology.
     """
-    if engine is not None:
-        if engine.graph is not graph:
-            raise ValueError(
-                "engine was built on a different graph object; warm "
-                "engines are bound to the CSR they froze at construction"
-            )
-        yield engine
-        return
-    owned = make_engine(graph, **kwargs)
-    try:
-        yield owned
-    finally:
-        owned.close()
+    if engine is None:
+        return DenseBSPEngine(graph)
+    if engine.graph is not graph:
+        raise ValueError(
+            "engine was built on a different graph object; warm "
+            "engines are bound to the CSR they froze at construction"
+        )
+    return engine
 
 
 def make_engine(graph, mode="dense", *, num_workers=None, **kwargs):

@@ -1,44 +1,41 @@
-"""Wire codecs for the sharded engine's worker pipes.
+"""The sharded engine's worker protocol: its frames and its failures.
 
-Every parent↔worker message crosses an OS pipe.  The engine historically
-let :class:`multiprocessing.connection.Connection` pickle whole command
-tuples — convenient, but each per-superstep frame then carries pickle's
-object framing (class markers, dtype descriptors, shape tuples) around
-what is really one int64 vector.  The ``packed`` codec replaces that
-with fixed binary frames: a one-byte command code, a little-endian
-struct header, and the sender ids as raw ``tobytes`` payload — decoded
-with ``np.frombuffer`` on the other side.  Sender sets are always
-transmitted as sparse vertex ids (never per-vertex masks), so frame size
-tracks the frontier, not the graph.
+Every parent↔worker message crosses an OS pipe as one fixed binary
+frame: a one-byte command code, a little-endian struct header, and the
+sender ids as raw ``tobytes`` payload — decoded with ``np.frombuffer``
+on the other side.  Sender sets are always transmitted as sparse vertex
+ids (never per-vertex masks), so frame size tracks the frontier, not
+the graph.  ``send`` / ``recv`` return the exact frame size; the
+engine's ``pipe_bytes`` total and the per-superstep ``pipe_bytes``
+telemetry counter are built on those counts.
 
-The ``pickle`` codec preserves the legacy encoding, but routed through
-``send_bytes`` so both codecs count exact bytes-on-pipe.  Engine-level
-``pipe_bytes`` totals and the per-superstep ``pipe_bytes`` /
-``pipe_bytes_legacy`` telemetry counters are built on these counts; the
-two codecs are interchangeable per engine (``wire=`` parameter /
-``REPRO_SHARDED_WIRE``) and produce bit-identical results — asserted by
-the packing smoke in ``tests/test_frontier.py``.
+Frames (sizes are pinned by ``tests/test_frontier.py``):
 
-Command tuples carried (shapes shared by both codecs):
-
-* ``("run", program, values_name, dtype_str, gathered_name)`` — once per
-  run; the program object has no fixed layout, so even the packed codec
-  pickles this frame's body.
+* ``("run", program, values_name, dtype_str, gathered_name,
+  shadow_name)`` — once per run; the program object has no fixed
+  layout, so this frame's body (and only this one) is pickled.
 * ``("scatter", generation, senders, mode)`` /
   ``("gather", generation, senders, mode)`` — per superstep; ``senders``
-  is an int64 id array, ``mode`` a :mod:`repro.bsp.frontier` name.  A
-  gather frame's array is empty: the worker delivers the selection it
-  cached at the scatter of the same ``generation``.
-* ``("close",)``
-* ``("ok", *ints)`` — worker replies; every element is int-coercible.
+  is an int64 id array, ``mode`` a :mod:`repro.bsp.frontier` name:
+  ``18 + 8·len(senders)`` bytes.  A gather frame's array is empty: the
+  worker delivers the selection it cached at the scatter of the same
+  ``generation``.
+* ``("close",)`` — one byte.
+* ``("ok", *ints)`` — worker replies, ``2 + 8·len(ints)`` bytes; built
+  by :func:`ok_reply` and read through :class:`OkReply`.
 * ``("error", text)`` — worker traceback.
+
+A task that ends in an ``("error", ...)`` reply, or in no readable reply
+at all, surfaces in the parent as :class:`ShardedWorkerError`; which of
+those leave the pipes usable is the pool's rule (:mod:`repro.bsp._pool`).
 """
 
 from __future__ import annotations
 
 import pickle
 import struct
-from typing import TYPE_CHECKING, Union
+from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -48,12 +45,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from multiprocessing.connection import Connection
 
 __all__ = [
-    "WIRE_FORMATS",
+    "OkReply",
     "PackedWire",
-    "PickleWire",
+    "ShardedWorkerError",
     "WireFormatError",
-    "legacy_frame_size",
+    "WorkerStallError",
     "make_wire",
+    "ok_reply",
 ]
 
 
@@ -69,8 +67,60 @@ class WireFormatError(ValueError):
     application failure.
     """
 
-#: Wire formats understood by the sharded engine.
-WIRE_FORMATS = ("packed", "pickle")
+
+class ShardedWorkerError(RuntimeError):
+    """A shard worker failed while executing its slice of a superstep.
+
+    Attributes
+    ----------
+    worker_tracebacks:
+        ``{worker_index: traceback_text}`` — each failed worker's
+        traceback, verbatim as formatted inside the worker process.
+    postmortem_path:
+        Path of the flight-recorder postmortem bundle dumped for this
+        failure, or None when no recorder was attached.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        worker_tracebacks: dict[int, str] | None = None,
+        postmortem_path: Path | None = None,
+    ) -> None:
+        super().__init__(message)
+        self.worker_tracebacks = dict(worker_tracebacks or {})
+        self.postmortem_path = postmortem_path
+
+    @property
+    def postmortem_id(self) -> str | None:
+        """Bundle id usable with ``GET /debug/postmortem/<id>``."""
+        if self.postmortem_path is None:
+            return None
+        return Path(self.postmortem_path).stem
+
+
+class WorkerStallError(ShardedWorkerError):
+    """A shard worker went silent past the pool's ``stall_timeout``.
+
+    Raised from the parent's pipe-receive loop when a worker it is
+    waiting on has recorded no flight-recorder event (no phase change,
+    no progress tick) within ``stall_timeout`` seconds — the sharded
+    signature of a wedged or livelocked shard.  ``worker`` names the
+    stalled shard; the base-class ``postmortem_path`` points at the
+    bundle dumped before raising.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        worker: int | None = None,
+        postmortem_path: Path | None = None,
+    ) -> None:
+        super().__init__(message, postmortem_path=postmortem_path)
+        self.worker = worker
+
 
 _CMD_RUN = 0x01
 _CMD_SCATTER = 0x02
@@ -90,8 +140,6 @@ _OK_HEADER = struct.Struct("<B")
 
 class PackedWire:
     """Fixed binary frames; sender ids travel as raw int64 bytes."""
-
-    name = "packed"
 
     def send(self, conn: "Connection", msg: tuple) -> int:
         """Encode ``msg``, write it with ``send_bytes``, return frame size."""
@@ -129,9 +177,8 @@ class PackedWire:
         if cmd == "error":
             return bytes([_REPLY_ERR]) + msg[1].encode("utf-8", "replace")
         if cmd == "run":
-            return bytes([_CMD_RUN]) + pickle.dumps(
-                msg[1:], protocol=pickle.HIGHEST_PROTOCOL
-            )
+            body = pickle.dumps(msg[1:], pickle.HIGHEST_PROTOCOL)  # run frame
+            return bytes([_CMD_RUN]) + body
         if cmd == "close":
             return bytes([_CMD_CLOSE])
         raise ValueError(f"unknown wire command {cmd!r}")
@@ -184,7 +231,7 @@ class PackedWire:
             return ("error", buf[1:].decode("utf-8", "replace"))
         if code == _CMD_RUN:
             try:
-                body = pickle.loads(buf[1:])
+                body = pickle.loads(buf[1:])  # run frame
             except Exception as exc:
                 raise WireFormatError(
                     f"run frame body failed to unpickle: {exc!r}"
@@ -204,43 +251,30 @@ class PackedWire:
         raise WireFormatError(f"unknown wire code {code:#x}")
 
 
-class PickleWire:
-    """Legacy whole-tuple pickling, made byte-countable via send_bytes."""
-
-    name = "pickle"
-
-    def send(self, conn: "Connection", msg: tuple) -> int:
-        frame = pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
-        conn.send_bytes(frame)
-        return len(frame)
-
-    def recv(self, conn: "Connection") -> tuple[tuple, int]:
-        buf = conn.recv_bytes()
-        msg = pickle.loads(buf)
-        if not isinstance(msg, tuple) or not msg:
-            raise WireFormatError(
-                "pickle frame did not decode to a non-empty tuple"
-            )
-        return msg, len(buf)
+def make_wire(name: str) -> PackedWire:
+    """The codec named ``name`` — ``"packed"`` is the only wire format."""
+    if name != "packed":
+        raise ValueError(f"wire must be 'packed', got {name!r}")
+    return PackedWire()
 
 
-Wire = Union[PackedWire, PickleWire]
+def ok_reply(busy_ns: int, peak_rss: int, arcs: int | None = None) -> tuple:
+    """A worker's ``("ok", ...)`` reply: ``arcs`` leads when the task
+    touched arcs (scatter / gather), the worker's busy time and peak RSS
+    always close it."""
+    if arcs is None:
+        return ("ok", busy_ns, peak_rss)
+    return ("ok", arcs, busy_ns, peak_rss)
 
 
-def make_wire(name: str) -> Wire:
-    """Instantiate a wire codec by format name."""
-    if name == "packed":
-        return PackedWire()
-    if name == "pickle":
-        return PickleWire()
-    raise ValueError(f"wire must be one of {WIRE_FORMATS}, got {name!r}")
+class OkReply(NamedTuple):
+    """The fields of an ``("ok", ...)`` reply, whichever task it answers."""
 
+    arcs: int
+    busy_ns: int
+    peak_rss: int
 
-def legacy_frame_size(msg: tuple) -> int:
-    """Bytes the legacy pickle codec would put on the pipe for ``msg``.
-
-    Used to report the ``pipe_bytes_legacy`` counterfactual next to the
-    packed codec's actual ``pipe_bytes`` (telemetry-only; never on the
-    hot path when telemetry is disabled).
-    """
-    return len(pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL))
+    @classmethod
+    def parse(cls, reply: tuple) -> "OkReply":
+        *arcs, busy_ns, peak_rss = reply[1:]
+        return cls(int(arcs[0]) if arcs else 0, int(busy_ns), int(peak_rss))

@@ -1,0 +1,265 @@
+"""The child side of the sharded engine: one shard worker process.
+
+A worker owns one vertex shard implicitly — the parent only ever sends
+it the senders that live on its shard — and serves one task per frame
+(:mod:`repro.bsp._wire`) until told to close:
+
+* ``run`` attaches the run's shared blocks (values, this worker's slice
+  of the per-destination output, and in check mode its shadow slice);
+* ``scatter`` selects the shard's out-arcs for a sender set, publishes
+  their per-destination histogram and keeps the selection warm;
+* ``gather`` delivers that cached selection: payload hook, then the
+  combiner fold into this worker's output slice.
+
+Every task ends in the same epilogue: busy time (recv-to-reply) and the
+worker's peak RSS ride on the ``("ok", ...)`` reply, so the parent's
+telemetry draws per-worker rows, barrier-wait skew and memory without a
+second round trip (~1 us per task).  With a flight recorder attached
+(``spec["flightrec"]``), each task is also bracketed by enter/exit
+events in this worker's shared-memory ring and the gather fold ticks
+progress per arc chunk — what the stall watchdog and ``repro top`` read.
+"""
+
+from __future__ import annotations
+
+import time
+import traceback
+from multiprocessing import shared_memory
+from typing import TYPE_CHECKING, Any
+
+import numpy as np
+
+from repro.bsp._wire import PackedWire, ok_reply
+from repro.bsp.dense import DenseVertexProgram
+from repro.bsp.frontier import select_arcs
+from repro.graph.csr import CSRGraph
+from repro.telemetry.core import peak_rss_bytes
+from repro.telemetry.flightrec import (
+    EV_ENTER,
+    EV_EXIT,
+    EV_PROGRESS,
+    EV_RSS,
+    PH_GATHER,
+    PH_IDLE,
+    PH_RUN,
+    PH_SCATTER,
+    RingWriter,
+)
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from multiprocessing.connection import Connection
+
+__all__ = ["worker_main"]
+
+#: Arc-range chunk per ``combine.at`` call.  A progress tick lands
+#: between chunks, so the parent can distinguish "grinding through a
+#: huge shard" from "wedged".  Chunks are applied in index order, so the
+#: fold's element ordering (and hence bit-exactness vs. one call over
+#: the whole range) is preserved.
+_PROGRESS_CHUNK_ARCS = 1 << 18
+
+_PHASE_BY_CMD = {"run": PH_RUN, "scatter": PH_SCATTER, "gather": PH_GATHER}
+
+
+class _Shard:
+    """A worker's warm state: the attached graph for the pool's lifetime,
+    the program and output slices per run, and the (generation, arc
+    selection, destinations) of the last scatter, reused by the gather of
+    the following superstep."""
+
+    def __init__(self, spec: dict, ring: RingWriter | None) -> None:
+        self.n = n = spec["num_vertices"]
+        m = spec["num_arcs"]
+        self.index = w = spec["worker_index"]
+        self.ring = ring
+        self._static: list[shared_memory.SharedMemory] = []
+        self._run_blocks: list[shared_memory.SharedMemory] = []
+        row_ptr = self._view(self._static, spec["row_ptr"], n + 1, np.int64)
+        col_idx = self._view(self._static, spec["col_idx"], m, np.int64)
+        weights = (
+            self._view(self._static, spec["weights"], m, np.float64)
+            if spec["weights"] is not None
+            else None
+        )
+        self.graph = CSRGraph(
+            row_ptr=row_ptr,
+            col_idx=col_idx,
+            weights=weights,
+            directed=spec["directed"],
+            sorted_adjacency=spec["sorted_adjacency"],
+        )
+        # Seed the per-arc source cache from shared memory so workers
+        # don't each rebuild (and privately hold) the O(arcs) expansion.
+        self.graph._degree_cache["arc_sources"] = self._view(
+            self._static, spec["arc_sources"], m, np.int64
+        )
+        self.hist_out = self._view(
+            self._static, spec["hist"], n, np.int64, row=w
+        )
+        # Set by run() / scatter(); the parent always sends those first.
+        self.program: Any = None
+        self.values: Any = None
+        self.gathered_out: Any = None
+        self.shadow_out: np.ndarray | None = None
+        self.sel: Any = None
+        self.dst: Any = None
+        self.generation = -1
+
+    @staticmethod
+    def _view(
+        keep: list[shared_memory.SharedMemory],
+        name: str,
+        length: int,
+        dtype: Any,
+        row: int = 0,
+    ) -> np.ndarray:
+        """Row ``row`` of the ``(rows, length)`` array in block ``name``.
+
+        Attaching needs no resource-tracker gymnastics: workers (fork and
+        spawn alike) inherit the parent's tracker, whose per-type set
+        deduplicates their registrations against the parent's create-time
+        one; unregistering here would corrupt that shared cache.
+        """
+        shm = shared_memory.SharedMemory(name=name)
+        keep.append(shm)
+        dtype = np.dtype(dtype)
+        return np.ndarray(
+            (length,), dtype=dtype, buffer=shm.buf,
+            offset=row * length * dtype.itemsize,
+        )
+
+    def run(
+        self,
+        program: DenseVertexProgram,
+        values_name: str,
+        values_dtype: str,
+        gathered_name: str,
+        shadow_name: str | None = None,
+    ) -> None:
+        for shm in self._run_blocks:
+            shm.close()
+        self._run_blocks = blocks = list[shared_memory.SharedMemory]()
+        n, w = self.n, self.index
+        self.program = program
+        self.values = self._view(blocks, values_name, n, values_dtype)
+        self.gathered_out = self._view(
+            blocks, gathered_name, n, program.message_dtype, row=w
+        )
+        self.shadow_out = (
+            self._view(blocks, shadow_name, n, values_dtype, row=w)
+            if shadow_name is not None
+            else None
+        )
+        self.sel = self.dst = None
+        self.generation = -1
+
+    def scatter(self, generation: int, senders: np.ndarray, mode: str) -> int:
+        graph = self.graph
+        self.generation = generation
+        self.sel = select_arcs(senders, graph.row_ptr, mode)
+        self.dst = graph.col_idx[self.sel]
+        self.hist_out[:] = np.bincount(self.dst, minlength=self.n)
+        return int(self.dst.size)
+
+    def gather(self, generation: int) -> int:
+        if generation != self.generation:
+            # The parent always scatters first; delivering a stale
+            # selection would be a silent wrong answer.
+            raise RuntimeError(
+                f"gather for generation {generation} but the cached "
+                f"scatter is generation {self.generation}"
+            )
+        program, dst, ring = self.program, self.dst, self.ring
+        step, total = int(generation), int(dst.size)
+        if ring is not None:
+            # Announce the arc total up front: the watchdog can tell a
+            # slow payload hook from a dead one.
+            ring.record(EV_PROGRESS, PH_GATHER, step, 0, total)
+        values = self.values
+        if self.shadow_out is not None:
+            # Check mode: run the payload hook on a private copy of the
+            # shared state and publish the post-call copy to this
+            # worker's shadow slice.  Any write the hook performs is
+            # attributed to exactly this worker, never lands in the
+            # shared array, and is diffed by the parent at the barrier.
+            values = values.copy()
+        payload = np.asarray(program.arc_payload(self.graph, values, self.sel))
+        if self.shadow_out is not None:
+            self.shadow_out[:] = values
+        out = self.gathered_out
+        out[:] = program.combine_identity
+        # A scalar / broadcast payload cannot be sliced alongside dst.
+        sliceable = payload.ndim == 1 and payload.shape[0] == total
+        for done in range(0, total, _PROGRESS_CHUNK_ARCS):
+            end = min(done + _PROGRESS_CHUNK_ARCS, total)
+            program.combine.at(
+                out, dst[done:end], payload[done:end] if sliceable else payload
+            )
+            if ring is not None:
+                ring.record(EV_PROGRESS, PH_GATHER, step, end, total)
+        return total
+
+    def close(self) -> None:
+        if self.ring is not None:
+            self.ring.close()
+        for shm in self._run_blocks + self._static:
+            try:
+                shm.close()
+            except BufferError:  # a view outlived its task
+                pass
+
+
+def _open_ring(spec: dict) -> RingWriter | None:
+    rec = spec.get("flightrec")
+    if rec is None:
+        return None
+    try:
+        return RingWriter(rec["shm"], rec["capacity"], spec["worker_index"])
+    except Exception:  # pragma: no cover - recording is best-effort
+        return None
+
+
+def worker_main(conn: "Connection", spec: dict) -> None:
+    """Shard worker entry point: serve tasks until told to close."""
+    wire = PackedWire()
+    ring = _open_ring(spec)
+    shard = _Shard(spec, ring)
+    try:
+        while True:
+            msg, _ = wire.recv(conn)
+            cmd = msg[0]
+            if cmd == "close":
+                return
+            t_busy = time.perf_counter_ns()
+            phase = _PHASE_BY_CMD.get(cmd, PH_IDLE)
+            step = int(msg[1]) if cmd in ("scatter", "gather") else -1
+            if ring is not None:
+                ring.record(EV_ENTER, phase, step)
+            arcs: int | None = None
+            reply: tuple | None = None
+            try:
+                if cmd == "run":
+                    shard.run(*msg[1:])
+                elif cmd == "scatter":
+                    arcs = shard.scatter(*msg[1:])
+                elif cmd == "gather":
+                    arcs = shard.gather(msg[1])
+                else:
+                    raise ValueError(f"unknown command {cmd!r}")
+            except Exception:
+                arcs, reply = -1, ("error", traceback.format_exc())
+            busy = time.perf_counter_ns() - t_busy
+            if reply is None:
+                rss = peak_rss_bytes() or 0
+                if ring is not None:
+                    ring.record(EV_RSS, phase, step, rss)
+                reply = ok_reply(busy, rss, arcs)
+            if ring is not None:
+                # Also on failure: the recorder must never show an
+                # eternally-open phase for a worker that in fact replied.
+                ring.record(EV_EXIT, phase, step, arcs or 0, busy)
+            wire.send(conn, reply)
+    except (EOFError, OSError, KeyboardInterrupt):  # parent went away
+        pass
+    finally:
+        shard.close()

@@ -29,7 +29,6 @@ from repro.bsp import engine_for
 from repro.bsp.dense import DenseSuperstepContext, DenseVertexProgram
 from repro.bsp.vertex import VertexContext, VertexProgram
 from repro.graph.csr import CSRGraph
-from repro.xmt.calibration import DEFAULT_COSTS, KernelCosts
 from repro.xmt.trace import WorkTrace
 
 __all__ = [
@@ -163,37 +162,22 @@ def bsp_breadth_first_search(
     graph: CSRGraph,
     source: int,
     *,
-    costs: KernelCosts = DEFAULT_COSTS,
     max_supersteps: int = 10_000,
-    num_workers: int | None = None,
-    partition: str = "hash",
-    telemetry=None,
     engine=None,
 ) -> BSPBFSResult:
     """Dense-engine execution of Algorithm 2.
 
-    ``num_workers`` > 1 shards the scatter/gather over that many worker
-    processes under the given ``partition`` placement.  ``telemetry`` (a
-    :class:`~repro.telemetry.core.Telemetry`) records wall-clock spans
-    without affecting results.  ``engine`` reuses a warm caller-owned
-    engine built on this graph (left open afterwards; the
-    engine-construction kwargs are then ignored).
+    ``engine`` is a caller-owned :func:`repro.bsp.make_engine` engine on
+    this graph (sharded, traced, ... as built), left open; the default
+    is a :class:`~repro.bsp.DenseBSPEngine` for the call.
     """
     n = graph.num_vertices
     if not 0 <= source < n:
         raise IndexError(f"source {source} out of range [0, {n})")
     program = DenseBreadthFirstSearch(source)
-    with engine_for(
-        graph,
-        engine,
-        num_workers=num_workers,
-        partition=partition,
-        costs=costs,
-        telemetry=telemetry,
-    ) as eng:
-        result = eng.run(
-            program, max_supersteps=max_supersteps, trace_label="bsp/bfs"
-        )
+    result = engine_for(graph, engine).run(
+        program, max_supersteps=max_supersteps, trace_label="bsp/bfs"
+    )
     dist = result.values
     return BSPBFSResult(
         source=source,

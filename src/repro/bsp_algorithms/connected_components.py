@@ -28,7 +28,6 @@ from repro.bsp import engine_for
 from repro.bsp.dense import DenseSuperstepContext, DenseVertexProgram
 from repro.bsp.vertex import VertexContext, VertexProgram
 from repro.graph.csr import CSRGraph
-from repro.xmt.calibration import DEFAULT_COSTS, KernelCosts
 from repro.xmt.trace import WorkTrace
 
 __all__ = [
@@ -111,12 +110,7 @@ class BSPComponentsResult:
 def bsp_connected_components(
     graph: CSRGraph,
     *,
-    costs: KernelCosts = DEFAULT_COSTS,
     max_supersteps: int = 10_000,
-    combine_messages: bool = False,
-    num_workers: int | None = None,
-    partition: str = "hash",
-    telemetry=None,
     engine=None,
 ) -> BSPComponentsResult:
     """Dense-engine execution of Algorithm 1.
@@ -125,39 +119,19 @@ def bsp_connected_components(
     reference engine exactly (asserted by the test suite): same labels,
     same superstep count, same per-superstep message counts.
 
-    ``combine_messages=True`` applies a Pregel min-combiner: only one
-    (minimum) message per destination is materialized per superstep, so
-    queue traffic drops from edges-incident-on-senders to the receiver
-    count.  The paper's runtime does *not* combine — this switch exists
-    for the combiner ablation benchmark.  Labels and superstep counts are
-    unaffected; only ``messages_per_superstep`` and the work trace change.
-
-    ``num_workers`` > 1 shards the scatter/gather over that many worker
-    processes under the given ``partition`` placement (results are
-    unaffected — min-combine folds are exact at any partition).
-    ``telemetry`` records wall-clock spans without affecting results.
-    ``engine`` reuses a warm caller-owned engine built on this graph
-    (left open afterwards; the engine-construction kwargs are then
-    ignored).
+    ``engine`` is a caller-owned :func:`repro.bsp.make_engine` engine on
+    this graph (sharded, traced, ... as built), left open; the default
+    is a :class:`~repro.bsp.DenseBSPEngine` for the call.
     """
     if graph.directed:
         raise ValueError(
             "BSP connected components requires an undirected graph"
         )
-    with engine_for(
-        graph,
-        engine,
-        num_workers=num_workers,
-        partition=partition,
-        combine_messages=combine_messages,
-        costs=costs,
-        telemetry=telemetry,
-    ) as eng:
-        result = eng.run(
-            DenseConnectedComponents(),
-            max_supersteps=max_supersteps,
-            trace_label="bsp/cc",
-        )
+    result = engine_for(graph, engine).run(
+        DenseConnectedComponents(),
+        max_supersteps=max_supersteps,
+        trace_label="bsp/cc",
+    )
     labels = result.values
     return BSPComponentsResult(
         labels=labels,

@@ -27,7 +27,6 @@ from repro.bsp.dense import DenseSuperstepContext, DenseVertexProgram
 from repro.bsp.frontier import selected_arc_count
 from repro.bsp.vertex import VertexContext, VertexProgram
 from repro.graph.csr import CSRGraph
-from repro.xmt.calibration import DEFAULT_COSTS, KernelCosts
 from repro.xmt.trace import WorkTrace
 
 __all__ = ["BSPKCore", "BSPKCoreResult", "DenseKCore", "bsp_k_core"]
@@ -124,39 +123,24 @@ def bsp_k_core(
     graph: CSRGraph,
     k: int,
     *,
-    costs: KernelCosts = DEFAULT_COSTS,
     max_supersteps: int = 100_000,
-    num_workers: int | None = None,
-    partition: str = "hash",
-    telemetry=None,
     engine=None,
 ) -> BSPKCoreResult:
     """Dense-engine BSP k-core membership (semantics of :class:`BSPKCore`).
 
-    ``num_workers`` > 1 shards the scatter/gather over that many worker
-    processes under the given ``partition`` placement (membership is
-    unaffected — integer sum folds are exact at any partition).
-    ``telemetry`` records wall-clock spans without affecting results.
-    ``engine`` reuses a warm caller-owned engine built on this graph
-    (left open afterwards; the engine-construction kwargs are then
-    ignored).
+    ``engine`` is a caller-owned :func:`repro.bsp.make_engine` engine on
+    this graph (sharded, traced, ... as built), left open; the default
+    is a :class:`~repro.bsp.DenseBSPEngine` for the call.  Membership is
+    the same on any engine: integer sum folds are exact at any partition.
     """
     if graph.directed:
         raise ValueError("k-core requires an undirected graph")
     if k < 0:
         raise ValueError("k must be non-negative")
     program = DenseKCore(k)
-    with engine_for(
-        graph,
-        engine,
-        num_workers=num_workers,
-        partition=partition,
-        costs=costs,
-        telemetry=telemetry,
-    ) as eng:
-        result = eng.run(
-            program, max_supersteps=max_supersteps, trace_label="bsp/kcore"
-        )
+    result = engine_for(graph, engine).run(
+        program, max_supersteps=max_supersteps, trace_label="bsp/kcore"
+    )
     return BSPKCoreResult(
         k=k,
         in_core=result.values >= 0,

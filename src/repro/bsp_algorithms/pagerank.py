@@ -23,7 +23,6 @@ from repro.bsp import engine_for
 from repro.bsp.dense import DenseSuperstepContext, DenseVertexProgram
 from repro.bsp.vertex import VertexContext, VertexProgram
 from repro.graph.csr import CSRGraph
-from repro.xmt.calibration import DEFAULT_COSTS, KernelCosts
 from repro.xmt.trace import WorkTrace
 
 __all__ = ["BSPPageRank", "BSPPageRankResult", "DensePageRank", "bsp_pagerank"]
@@ -147,37 +146,22 @@ def bsp_pagerank(
     *,
     num_supersteps: int = 30,
     damping: float = 0.85,
-    costs: KernelCosts = DEFAULT_COSTS,
-    num_workers: int | None = None,
-    partition: str = "hash",
-    telemetry=None,
     engine=None,
 ) -> BSPPageRankResult:
     """Dense-engine fixed-superstep BSP PageRank (with dangling handling).
 
-    ``num_workers`` > 1 shards the scatter/gather over that many worker
-    processes under the given ``partition`` placement.  Sharded float
-    summation may differ from single-process ranks in the last ulp
-    (the per-shard partial sums merge in shard order).
-    ``telemetry`` records wall-clock spans without affecting results.
-    ``engine`` reuses a warm caller-owned engine built on this graph
-    (left open afterwards; the engine-construction kwargs are then
-    ignored).
+    ``engine`` is a caller-owned :func:`repro.bsp.make_engine` engine on
+    this graph (sharded, traced, ... as built), left open; the default
+    is a :class:`~repro.bsp.DenseBSPEngine` for the call.  Sharded float
+    summation may differ from single-process ranks in the last ulp (the
+    per-shard partial sums merge in shard order).
     """
     program = DensePageRank(num_supersteps=num_supersteps, damping=damping)
-    with engine_for(
-        graph,
-        engine,
-        num_workers=num_workers,
-        partition=partition,
-        costs=costs,
-        telemetry=telemetry,
-    ) as eng:
-        result = eng.run(
-            program,
-            max_supersteps=num_supersteps + 1,
-            trace_label="bsp/pagerank",
-        )
+    result = engine_for(graph, engine).run(
+        program,
+        max_supersteps=num_supersteps + 1,
+        trace_label="bsp/pagerank",
+    )
     return BSPPageRankResult(
         ranks=result.values,
         num_supersteps=result.num_supersteps,

@@ -22,7 +22,6 @@ from repro.bsp import engine_for
 from repro.bsp.dense import DenseSuperstepContext, DenseVertexProgram
 from repro.bsp.vertex import VertexContext, VertexProgram
 from repro.graph.csr import CSRGraph
-from repro.xmt.calibration import DEFAULT_COSTS, KernelCosts
 from repro.xmt.trace import WorkTrace
 
 __all__ = [
@@ -115,41 +114,26 @@ def bsp_sssp(
     graph: CSRGraph,
     source: int,
     *,
-    costs: KernelCosts = DEFAULT_COSTS,
     max_supersteps: int = 100_000,
-    num_workers: int | None = None,
-    partition: str = "hash",
-    telemetry=None,
     engine=None,
 ) -> BSPSSSPResult:
     """Dense-engine BSP SSSP (unit weights when the graph is unweighted).
 
-    ``num_workers`` > 1 shards the scatter/gather over that many worker
-    processes under the given ``partition`` placement (distances are
-    unaffected — min-combine folds are exact at any partition).
-    ``telemetry`` records wall-clock spans without affecting results.
-    ``engine`` reuses a warm caller-owned engine built on this graph
-    (left open afterwards; the engine-construction kwargs are then
-    ignored).
+    ``engine`` is a caller-owned :func:`repro.bsp.make_engine` engine on
+    this graph (sharded, traced, ... as built), left open; the default
+    is a :class:`~repro.bsp.DenseBSPEngine` for the call.  Distances are
+    the same on any engine: min-combine folds are exact at any partition.
     """
     n = graph.num_vertices
     if not 0 <= source < n:
         raise IndexError(f"source {source} out of range [0, {n})")
     if graph.weights is not None and graph.weights.size and graph.weights.min() < 0:
         raise ValueError("bsp_sssp requires non-negative weights")
-    with engine_for(
-        graph,
-        engine,
-        num_workers=num_workers,
-        partition=partition,
-        costs=costs,
-        telemetry=telemetry,
-    ) as eng:
-        result = eng.run(
-            DenseShortestPaths(source),
-            max_supersteps=max_supersteps,
-            trace_label="bsp/sssp",
-        )
+    result = engine_for(graph, engine).run(
+        DenseShortestPaths(source),
+        max_supersteps=max_supersteps,
+        trace_label="bsp/sssp",
+    )
     return BSPSSSPResult(
         source=source,
         distances=result.values,

@@ -16,10 +16,9 @@ boundaries.  This package verifies eligibility from three angles:
   hypothesis-driven property harness for the combiner algebra the
   shard-merge bit-identity rests on.
 * the runtime write-race detector on
-  :class:`~repro.bsp.parallel.ShardedBSPEngine` (``check=True`` /
-  ``REPRO_SHARDED_CHECK=1``), which records per-worker write-sets over
-  the shared state array each superstep and reports conflicting writes
-  at the barrier.
+  :class:`~repro.bsp.parallel.ShardedBSPEngine` (``check=True``), which
+  records per-worker write-sets over the shared state array each
+  superstep and reports conflicting writes at the barrier.
 
 Surfaced as the ``repro check`` CLI subcommand
 (:mod:`repro.check.cli`); the rule catalog and race-detector semantics

@@ -91,7 +91,7 @@ class GraphAnalyticsService:
         embedding produces no output.
     flight_recorder, stall_timeout:
         Passed through to :class:`~repro.bsp.parallel.ShardedBSPEngine`
-        — the flight recorder is default-on, and ``stall_timeout``
+        — the flight recorder is on unless ``False``, and ``stall_timeout``
         bounds how long a barrier waits on a silent worker before the
         job fails with a stall error (and a postmortem bundle, served
         via ``GET /debug/postmortem/<id>``).
@@ -108,7 +108,7 @@ class GraphAnalyticsService:
         telemetry: Telemetry | None = None,
         metrics=None,
         logger=None,
-        flight_recorder=None,
+        flight_recorder=True,
         stall_timeout: float | None = None,
     ) -> None:
         self.graph = graph

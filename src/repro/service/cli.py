@@ -136,7 +136,7 @@ def main(argv: list[str] | None = None) -> int:
         cache_capacity=args.cache_size,
         metrics=NULL_METRICS if args.no_metrics else None,
         logger=logger,
-        flight_recorder=False if args.no_flight_recorder else None,
+        flight_recorder=not args.no_flight_recorder,
         stall_timeout=args.stall_timeout if args.stall_timeout > 0 else None,
     )
     server = build_server(service, args.host, args.port)

@@ -134,9 +134,10 @@ def run_algorithm(
     """Execute one canonical request; return the JSON-safe payload.
 
     ``engine`` is the service's warm :class:`ShardedBSPEngine`, reused
-    (and left open) by every engine-backed algorithm.  Triangle counting
-    has no engine path — it shards its closure scan over its own pool,
-    sized by ``num_workers``.
+    (and left open) by every engine-backed algorithm; its spans land in
+    the telemetry the engine was built with.  Triangle counting has no
+    engine path — it shards its closure scan over its own pool, and
+    ``num_workers`` / ``telemetry`` are forwarded to it alone.
 
     ``metrics`` bridges engine activity up to the service registry:
     ``repro_engine_busy`` is 1 while an engine-backed run holds the warm
@@ -184,26 +185,20 @@ def _dispatch(
     """The per-algorithm wrapper calls behind :func:`run_algorithm`."""
     common: dict
     if algorithm == "cc":
-        res = bsp_connected_components(
-            graph, engine=engine, telemetry=telemetry
-        )
+        res = bsp_connected_components(graph, engine=engine)
         common = {
             "values": _num_list(res.labels),
             "num_components": res.num_components,
         }
     elif algorithm == "bfs":
-        res = bsp_breadth_first_search(
-            graph, params["source"], engine=engine, telemetry=telemetry
-        )
+        res = bsp_breadth_first_search(graph, params["source"], engine=engine)
         common = {
             "values": _num_list(res.distances),
             "source": res.source,
             "frontier_sizes": list(res.frontier_sizes),
         }
     elif algorithm == "sssp":
-        res = bsp_sssp(
-            graph, params["source"], engine=engine, telemetry=telemetry
-        )
+        res = bsp_sssp(graph, params["source"], engine=engine)
         common = {"values": _num_list(res.distances), "source": res.source}
     elif algorithm == "pagerank":
         res = bsp_pagerank(
@@ -211,13 +206,10 @@ def _dispatch(
             num_supersteps=params["num_supersteps"],
             damping=params["damping"],
             engine=engine,
-            telemetry=telemetry,
         )
         common = {"values": _num_list(res.ranks)}
     elif algorithm == "kcore":
-        res = bsp_k_core(
-            graph, params["k"], engine=engine, telemetry=telemetry
-        )
+        res = bsp_k_core(graph, params["k"], engine=engine)
         in_core = np.asarray(res.in_core, dtype=bool)
         common = {
             "values": in_core.tolist(),

@@ -121,36 +121,28 @@ def run_profile(
             "possible_triangles": res.possible_triangles,
         }
 
-    common = dict(
-        num_workers=num_workers, partition=partition, telemetry=telemetry
-    )
-    if algorithm == "cc":
-        from repro.bsp_algorithms.connected_components import (
-            bsp_connected_components,
-        )
+    from repro import bsp_algorithms as algos
+    from repro.bsp import make_engine
 
-        res = bsp_connected_components(graph, **common)
-        meta = {"num_components": res.num_components}
-    elif algorithm == "bfs":
-        from repro.bsp_algorithms.bfs import bsp_breadth_first_search
-
-        res = bsp_breadth_first_search(graph, src, **common)
-        meta = {"source": src, "vertices_reached": res.vertices_reached}
-    elif algorithm == "sssp":
-        from repro.bsp_algorithms.sssp import bsp_sssp
-
-        res = bsp_sssp(graph, src, **common)
-        meta = {"source": src}
-    elif algorithm == "pagerank":
-        from repro.bsp_algorithms.pagerank import bsp_pagerank
-
-        res = bsp_pagerank(graph, **common)
-        meta = {}
-    else:  # kcore
-        from repro.bsp_algorithms.kcore import bsp_k_core
-
-        res = bsp_k_core(graph, k, **common)
-        meta = {"k": k}
+    with make_engine(
+        graph, engine, num_workers=num_workers, partition=partition,
+        telemetry=telemetry,
+    ) as eng:
+        if algorithm == "cc":
+            res = algos.bsp_connected_components(graph, engine=eng)
+            meta = {"num_components": res.num_components}
+        elif algorithm == "bfs":
+            res = algos.bsp_breadth_first_search(graph, src, engine=eng)
+            meta = {"source": src, "vertices_reached": res.vertices_reached}
+        elif algorithm == "sssp":
+            res = algos.bsp_sssp(graph, src, engine=eng)
+            meta = {"source": src}
+        elif algorithm == "pagerank":
+            res = algos.bsp_pagerank(graph, engine=eng)
+            meta = {}
+        else:  # kcore
+            res = algos.bsp_k_core(graph, k, engine=eng)
+            meta = {"k": k}
     meta["num_supersteps"] = res.num_supersteps
     return res.trace, meta
 

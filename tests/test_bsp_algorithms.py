@@ -5,7 +5,7 @@ promises)."""
 import numpy as np
 import pytest
 
-from repro.bsp import BSPEngine, SumAggregator
+from repro.bsp import BSPEngine, SumAggregator, make_engine
 from repro.bsp_algorithms import (
     BSPBreadthFirstSearch,
     BSPConnectedComponents,
@@ -15,11 +15,13 @@ from repro.bsp_algorithms import (
     bsp_breadth_first_search,
     bsp_connected_components,
     bsp_count_triangles,
+    bsp_k_core,
     bsp_pagerank,
     bsp_sssp,
 )
 from repro.graph import from_edge_list, path_graph, ring_graph, rmat, star_graph
 from repro.graph.properties import peripheral_vertex
+from repro.telemetry.core import Telemetry
 from repro.graphct import (
     breadth_first_search,
     connected_components,
@@ -260,3 +262,78 @@ class TestBSPPageRank:
     def test_empty_graph(self):
         res = bsp_pagerank(from_edge_list([], num_vertices=0))
         assert res.ranks.size == 0
+
+
+#: wrapper -> (positional arguments after the graph, result array)
+WRAPPERS = {
+    bsp_connected_components: ((), "labels"),
+    bsp_breadth_first_search: ((3,), "distances"),
+    bsp_sssp: ((3,), "distances"),
+    bsp_pagerank: ((), "ranks"),
+    bsp_k_core: ((2,), "in_core"),
+}
+
+
+class TestWrapperSurface:
+    """The engine-backed wrappers take an engine; they do not re-declare
+    its constructor."""
+
+    @pytest.mark.parametrize("wrapper", WRAPPERS, ids=lambda w: w.__name__)
+    @pytest.mark.parametrize(
+        "stale",
+        [
+            {"num_workers": 2},
+            {"telemetry": Telemetry("stale")},
+            {"partition": "hash"},
+            {"costs": None},
+        ],
+        ids=lambda kwargs: next(iter(kwargs)),
+    )
+    def test_engine_kwargs_fail_loudly(self, tiny_rmat, wrapper, stale):
+        """A stale call site must not quietly run dense and untraced."""
+        args, _ = WRAPPERS[wrapper]
+        with pytest.raises(TypeError, match=next(iter(stale))):
+            wrapper(tiny_rmat, *args, **stale)
+
+    @pytest.mark.parametrize("wrapper", WRAPPERS, ids=lambda w: w.__name__)
+    def test_engine_of_another_graph_is_refused(self, tiny_rmat, wrapper):
+        args, _ = WRAPPERS[wrapper]
+        twin = rmat(scale=7, edge_factor=8, seed=2)  # equal, not identical
+        with make_engine(twin) as engine:
+            with pytest.raises(ValueError, match="different graph"):
+                wrapper(tiny_rmat, *args, engine=engine)
+
+    def test_one_configured_engine_serves_all_five(
+        self, tiny_rmat, fan_out_every_superstep
+    ):
+        tel = Telemetry("shared")
+        with make_engine(
+            tiny_rmat, "sharded", num_workers=2, partition="balanced-edge",
+            telemetry=tel,
+        ) as engine:
+            for wrapper, (args, field) in WRAPPERS.items():
+                spans = len(tel.spans_named("superstep"))
+                barriers = len(tel.spans_named("barrier"))
+                plain = wrapper(tiny_rmat, *args)
+                assert len(tel.spans_named("superstep")) == spans
+                shared = wrapper(tiny_rmat, *args, engine=engine)
+                if field == "ranks":  # shard-order float sums: last ulp
+                    assert np.allclose(
+                        shared.ranks, plain.ranks, rtol=0, atol=1e-12
+                    )
+                else:
+                    assert np.array_equal(
+                        getattr(shared, field), getattr(plain, field)
+                    )
+                assert shared.num_supersteps == plain.num_supersteps
+                assert (
+                    shared.messages_per_superstep
+                    == plain.messages_per_superstep
+                )
+                assert (
+                    len(tel.spans_named("superstep"))
+                    == spans + shared.num_supersteps
+                )
+                assert len(tel.spans_named("barrier")) > barriers
+            assert engine.partition_policy == "balanced-edge"
+            assert not engine.closed

@@ -26,8 +26,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.bsp._wire import PackedWire, WireFormatError
+from repro.bsp._wire import OkReply, PackedWire, WireFormatError, ok_reply
 from repro.bsp.dense import DenseBSPEngine
 from repro.bsp.parallel import ShardedBSPEngine, ShardedWriteRaceError
 from repro.bsp_algorithms.connected_components import DenseConnectedComponents
@@ -465,20 +467,58 @@ class _Loopback:
         return self.frames.pop(0)
 
 
+I64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+
+#: Every frame kind of ``repro.bsp._wire``, as the tuple it carries.
+FRAMES = st.one_of(
+    st.tuples(
+        st.sampled_from(["scatter", "gather"]),
+        I64,
+        st.lists(I64, max_size=64).map(
+            lambda ids: np.array(ids, dtype=np.int64)
+        ),
+        st.sampled_from(["sparse", "dense"]),
+    ),
+    st.lists(I64, max_size=255).map(lambda ints: ("ok", *ints)),
+    st.tuples(st.just("error"), st.text()),
+    # The run frame's body is whatever pickles: program, block names.
+    st.tuples(
+        st.just("run"), st.binary(), st.text(), st.text(), st.text(),
+        st.none() | st.text(),
+    ),
+    st.just(("close",)),
+)
+
+
 class TestWireValidation:
     def decode(self, buf):
         conn = _Loopback()
         conn.frames.append(buf)
         return PackedWire().recv(conn)
 
-    def test_roundtrip_still_works(self):
+    @given(FRAMES)
+    @settings(max_examples=200, deadline=None)
+    def test_roundtrip_still_works(self, msg):
+        """``decode(encode(msg)) == msg`` for every frame kind, and both
+        ends agree on the frame's size."""
         wire = PackedWire()
         conn = _Loopback()
-        senders = np.array([3, 5, 8], dtype=np.int64)
-        wire.send(conn, ("scatter", 7, senders, "sparse"))
-        msg, _ = wire.recv(conn)
-        assert msg[0] == "scatter" and msg[1] == 7
-        np.testing.assert_array_equal(msg[2], senders)
+        sent = wire.send(conn, msg)
+        got, received = wire.recv(conn)
+        assert sent == received
+        assert len(got) == len(msg)
+        for want, have in zip(msg, got):
+            if isinstance(want, np.ndarray):
+                assert have.dtype == np.int64
+                np.testing.assert_array_equal(have, want)
+            else:
+                assert have == want
+
+    def test_ok_reply_is_read_by_name(self):
+        """Replies with and without an arc count go through one reader."""
+        assert OkReply.parse(ok_reply(7, 9)) == (0, 7, 9)
+        assert OkReply.parse(ok_reply(7, 9, arcs=3)) == (3, 7, 9)
+        assert len(ok_reply(7, 9)) == 3 and len(ok_reply(7, 9, 3)) == 4
 
     def test_empty_frame(self):
         with pytest.raises(WireFormatError, match="empty"):
@@ -583,42 +623,28 @@ class TestWriteRaceDetector:
             with pytest.warns(RuntimeWarning, match="must be read-only"):
                 engine.run(_BenignWriteCC())
 
-    def test_env_enabled_check_matches_reference_engine(
-        self, medium_graph, monkeypatch
-    ):
+    def test_env_enabled_check_matches_reference_engine(self, medium_graph):
         from repro.bsp import BSPEngine
         from repro.bsp_algorithms import BSPConnectedComponents
         from tests.test_dense_engine import assert_results_equal
 
         ref = BSPEngine(medium_graph).run(BSPConnectedComponents())
-        monkeypatch.setenv("REPRO_SHARDED_CHECK", "1")
         for workers in WORKER_COUNTS:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # zero races reported
                 with ShardedBSPEngine(
-                    medium_graph, num_workers=workers
+                    medium_graph, num_workers=workers, check=True
                 ) as engine:
                     assert engine.check is True
                     res = engine.run(DenseConnectedComponents())
             assert_results_equal(ref, res)
 
-    def test_check_off_by_default_and_env_flips_it(
+    def test_racy_program_untouched_without_check(
         self, medium_graph, monkeypatch
     ):
-        with ShardedBSPEngine(medium_graph, num_workers=1) as engine:
-            assert engine.check is False
+        # Sanity: the detector, not the engine, is what catches it — and
+        # the detector is off unless asked for, whatever the environment.
         monkeypatch.setenv("REPRO_SHARDED_CHECK", "1")
-        with ShardedBSPEngine(medium_graph, num_workers=1) as engine:
-            assert engine.check is True
-        # Explicit kwarg beats the environment.
-        with ShardedBSPEngine(
-            medium_graph, num_workers=1, check=False
-        ) as engine:
+        with ShardedBSPEngine(medium_graph, num_workers=2) as engine:
             assert engine.check is False
-
-    def test_racy_program_untouched_without_check(self, medium_graph):
-        # Sanity: the detector, not the engine, is what catches it.
-        with ShardedBSPEngine(
-            medium_graph, num_workers=2, check=False
-        ) as engine:
             engine.run(_BenignWriteCC())  # no raise, no warning

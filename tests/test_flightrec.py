@@ -1,5 +1,6 @@
 """Flight recorder: record codec, ring semantics, watchdog, and the
-engine integration (stall detection, postmortem bundles, bounded close).
+engine integration (stall detection, postmortem bundles, bounded close,
+and what a failed exchange leaves behind).
 
 The concurrency tests exercise the documented reader guarantee — a
 sample that races the single writer may *under-report* records but can
@@ -11,7 +12,7 @@ import json
 import os
 import signal
 import time
-from multiprocessing import Process
+from multiprocessing import Process, active_children
 
 import numpy as np
 import pytest
@@ -19,11 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bsp import DenseBSPEngine, ShardedBSPEngine
-from repro.bsp.parallel import (
-    ShardedWorkerError,
-    WorkerStallError,
-    _flight_recorder_from_env,
-)
+from repro.bsp.parallel import ShardedWorkerError, WorkerStallError
 from repro.bsp_algorithms import DenseConnectedComponents
 from repro.graph import rmat
 from repro.telemetry.flightrec import (
@@ -364,15 +361,17 @@ class TestPostmortemFiles:
 
 
 class SleepyGather(DenseConnectedComponents):
-    """CC whose payload hook sleeps forever on trap vertices (picklable
-    at module level for the fork/spawn worker bootstrap)."""
+    """CC whose payload hook sleeps on trap vertices — by default far
+    longer than any test waits (picklable at module level for the
+    fork/spawn worker bootstrap)."""
 
-    def __init__(self, trap_vertices):
+    def __init__(self, trap_vertices, seconds=60.0):
         self.trap = np.asarray(trap_vertices, dtype=np.int64)
+        self.seconds = seconds
 
     def arc_payload(self, graph, values, selection):
         if np.isin(graph.arc_sources()[selection], self.trap).any():
-            time.sleep(60.0)
+            time.sleep(self.seconds)
         return super().arc_payload(graph, values, selection)
 
 
@@ -416,6 +415,8 @@ class TestEngineIntegration:
             assert all(row["alive"] for row in rows)
 
     def test_recorder_off_means_off(self, graph):
+        with ShardedBSPEngine(graph, num_workers=1) as engine:
+            assert engine.flight_recorder.is_open  # on unless refused
         with ShardedBSPEngine(
             graph, num_workers=2, flight_recorder=False
         ) as engine:
@@ -427,15 +428,6 @@ class TestEngineIntegration:
             assert [row["worker"] for row in rows] == [0, 1]
             assert all(row["alive"] for row in rows)
             assert all("phase" not in row for row in rows)
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FLIGHT_RECORDER", raising=False)
-        assert _flight_recorder_from_env() is True
-        for off in ("0", "false", "no", "OFF"):
-            monkeypatch.setenv("REPRO_FLIGHT_RECORDER", off)
-            assert _flight_recorder_from_env() is False
-        monkeypatch.setenv("REPRO_FLIGHT_RECORDER", "1")
-        assert _flight_recorder_from_env() is True
 
     def test_skew_samples_accumulate(self, graph, tmp_path):
         with ShardedBSPEngine(
@@ -500,10 +492,12 @@ class TestEngineIntegration:
             )
             assert bundle["reason"] in {"worker_crash", "worker_error"}
             assert "injected crash" in bundle["error"]
-            # Pool recovers for the next run.
-            result = engine.run(DenseConnectedComponents())
+            # The workers *answered*: the pipes are in step, and the
+            # same engine's next run is the dense engine's, bit for bit.
             dense = DenseBSPEngine(graph).run(DenseConnectedComponents())
-            assert np.array_equal(result.values, dense.values)
+            assert_results_equal(
+                dense, engine.run(DenseConnectedComponents())
+            )
 
     def test_sigstop_cannot_wedge_close(self, graph, tmp_path):
         """Satellite regression: a SIGSTOPed worker must not hang
@@ -536,3 +530,111 @@ class TestEngineIntegration:
             ShardedBSPEngine(graph, num_workers=2, stall_timeout=0.0)
         with pytest.raises(ValueError):
             ShardedBSPEngine(graph, num_workers=2, stall_timeout=-1.0)
+
+
+# -- the failure rule -------------------------------------------------------
+
+
+@pytest.fixture
+def hard_timeout():
+    """Fail, don't hang: SIGALRM interrupts whatever the test blocks on."""
+
+    def expired(signum, frame):
+        raise TimeoutError("failure-rule test exceeded its hard timeout")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, 30.0)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def census():
+    """No shared-memory block and no child process outlives the test."""
+    before = set(os.listdir("/dev/shm"))
+    yield
+    assert set(os.listdir("/dev/shm")) <= before
+    assert not [p.name for p in active_children() if p.is_alive()]
+
+
+@pytest.mark.usefixtures("hard_timeout", "census", "fan_out_every_superstep")
+class TestFailureRule:
+    """An exchange that leaves a reply unread, or loses a worker, ends
+    the engine: later runs fail typed — they never take a late reply
+    for an answer (``repro.bsp._pool``)."""
+
+    def assert_desynchronised(self, engine, first):
+        for _ in range(2):
+            with pytest.raises(ShardedWorkerError) as excinfo:
+                engine.run(DenseConnectedComponents())
+            assert "desynchronised" in str(excinfo.value)
+            assert str(first).splitlines()[-1] in str(excinfo.value)
+            assert excinfo.value.postmortem_id == first.postmortem_id
+
+    def assert_close_is_bounded(self, engine):
+        t0 = time.monotonic()
+        engine.close()
+        assert time.monotonic() - t0 < 5.0
+        assert engine.workers_alive == 0
+
+    def test_late_reply_is_never_taken_for_an_answer(self, graph, tmp_path):
+        engine = ShardedBSPEngine(
+            graph,
+            num_workers=2,
+            stall_timeout=0.5,
+            flight_recorder=_make_recorder(tmp_path),
+        )
+        try:
+            trap = np.flatnonzero(engine.assignment == 1)
+            with pytest.raises(WorkerStallError) as excinfo:
+                engine.run(SleepyGather(trap, seconds=1.5))
+            # Wait the hook out: worker 1's reply to the abandoned
+            # gather is now sitting unread in its pipe.
+            while engine.worker_status()[1]["phase"] != "idle":
+                time.sleep(0.05)
+            self.assert_desynchronised(engine, excinfo.value)
+            assert len(list_postmortems(tmp_path / "postmortem")) == 1
+        finally:
+            self.assert_close_is_bounded(engine)
+        dense = DenseBSPEngine(graph).run(DenseConnectedComponents())
+        with ShardedBSPEngine(graph, num_workers=2) as fresh:
+            assert_results_equal(dense, fresh.run(DenseConnectedComponents()))
+
+    def test_killed_worker_is_a_typed_error_with_a_postmortem(
+        self, graph, tmp_path
+    ):
+        engine = ShardedBSPEngine(
+            graph, num_workers=2, flight_recorder=_make_recorder(tmp_path)
+        )
+        try:
+            engine.run(DenseConnectedComponents())
+            os.kill(engine.worker_status()[0]["pid"], signal.SIGKILL)
+            while engine.workers_alive == 2:
+                time.sleep(0.01)
+            with pytest.raises(ShardedWorkerError) as excinfo:
+                engine.run(DenseConnectedComponents())  # not BrokenPipeError
+            first = excinfo.value
+            assert "worker process died" in first.worker_tracebacks[0]
+            bundle = load_postmortem(
+                tmp_path / "postmortem", first.postmortem_id
+            )
+            assert bundle["reason"] == "worker_crash"
+            assert bundle["workers"][0]["alive"] is False
+            self.assert_desynchronised(engine, first)
+        finally:
+            self.assert_close_is_bounded(engine)
+
+    def test_program_error_leaves_the_pipes_in_step(self, graph, tmp_path):
+        """The rule must not over-trigger: see
+        ``test_crash_dumps_postmortem_with_traceback`` for the run that
+        follows; here, that shutdown after it is clean."""
+        engine = ShardedBSPEngine(
+            graph, num_workers=2, flight_recorder=_make_recorder(tmp_path)
+        )
+        try:
+            with pytest.raises(ShardedWorkerError, match="injected crash"):
+                engine.run(CrashyProgram())
+            engine.run(DenseConnectedComponents())
+        finally:
+            self.assert_close_is_bounded(engine)

@@ -12,9 +12,9 @@ Three contracts from the frontier work:
   filters the engine's receiver set) yet matches the reference engine
   on directed and undirected inputs, and ``frontier_sizes`` reports the
   true per-level discoveries.
-* **Wire framing** — the sharded engine's byte-packed frames carry the
-  same computation as the legacy pickled frames with fewer bytes on the
-  pipe (``pipe_bytes`` asserts the reduction).
+* **Wire framing** — the sharded engine's byte-packed frames have the
+  sizes ``repro.bsp._wire`` documents, and ``pipe_bytes`` is exactly
+  their sum over the exchanges a run made.
 """
 
 import numpy as np
@@ -28,7 +28,9 @@ from repro.bsp import (
     FrontierPolicy,
     ShardedBSPEngine,
 )
+from repro.bsp import parallel
 from repro.bsp._scatter import arcs_from
+from repro.bsp._wire import PackedWire, make_wire
 from repro.bsp.frontier import (
     DENSE,
     SPARSE,
@@ -339,40 +341,63 @@ class TestFrontierTelemetry:
 
     @pytest.mark.usefixtures("fan_out_every_superstep")
     def test_sharded_pipe_byte_counters(self, medium_graph):
+        """Every exchanging superstep records its bytes, and a traced
+        run ships exactly the bytes an untraced one does."""
         tel = Telemetry("t")
         with ShardedBSPEngine(
             medium_graph, num_workers=2, telemetry=tel
         ) as engine:
             engine.run(DenseConnectedComponents())
-            assert engine.pipe_bytes > 0
-        names = {c.name for c in tel.counters}
-        assert {"pipe_bytes", "pipe_bytes_legacy"} <= names
-        packed = sum(
-            c.value for c in tel.counters if c.name == "pipe_bytes"
-        )
-        legacy = sum(
-            c.value for c in tel.counters if c.name == "pipe_bytes_legacy"
-        )
-        assert packed < legacy
+            traced = engine.pipe_bytes
+        with ShardedBSPEngine(medium_graph, num_workers=2) as engine:
+            engine.run(DenseConnectedComponents())
+            assert engine.pipe_bytes == traced
+        counted = [c for c in tel.counters if c.name == "pipe_bytes"]
+        assert len(counted) == len(tel.spans_named("barrier"))
+        assert all(c.value > 0 and c.superstep >= 0 for c in counted)
+        assert 0 < sum(c.value for c in counted) < traced  # + run frames
+        assert "pipe_bytes_legacy" not in {c.name for c in tel.counters}
 
 
 # -- wire framing ----------------------------------------------------------
 
+#: An ("ok", arcs, busy_ns, peak_rss) reply: scatter and gather tasks.
+TASK_REPLY_BYTES = 2 + 8 * 3
+
+
+def frame_bytes(msg):
+    """Bytes ``msg`` puts on a pipe, as ``PackedWire.send`` reports them."""
+
+    class Sink:
+        def send_bytes(self, frame):
+            self.size = len(frame)
+
+    sink = Sink()
+    assert PackedWire().send(sink, msg) == sink.size
+    return sink.size
+
 
 class TestWireFraming:
     def test_invalid_wire_rejected(self):
-        with pytest.raises(ValueError, match="wire"):
-            ShardedBSPEngine(star_graph(4), num_workers=2, wire="telegraph")
+        """One wire format: the codec factory knows no other name, and
+        the engine has no parameter to ask for one."""
+        assert isinstance(make_wire("packed"), PackedWire)
+        for name in ("telegraph", "pickle"):
+            with pytest.raises(ValueError, match="wire"):
+                make_wire(name)
+        with pytest.raises(TypeError, match="wire"):
+            ShardedBSPEngine(star_graph(4), num_workers=2, wire="packed")
 
-    def test_wire_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDED_WIRE", "pickle")
-        with ShardedBSPEngine(star_graph(4), num_workers=2) as engine:
-            assert engine.wire_format == "pickle"
-        monkeypatch.delenv("REPRO_SHARDED_WIRE")
-        with ShardedBSPEngine(star_graph(4), num_workers=2) as engine:
-            assert engine.wire_format == "packed"
+    @pytest.mark.parametrize("k", [0, 1, 7, 4096])
+    def test_frame_sizes_are_pinned(self, k):
+        senders = np.arange(k, dtype=np.int64)
+        for cmd, mode in (("scatter", SPARSE), ("gather", DENSE)):
+            assert frame_bytes((cmd, 3, senders, mode)) == 18 + 8 * k
+        assert frame_bytes(("ok", *range(k % 256))) == 2 + 8 * (k % 256)
+        assert frame_bytes(("ok", 5, 10**9, 2**40)) == TASK_REPLY_BYTES
+        assert frame_bytes(("close",)) == 1
+        assert frame_bytes(("error", "é" * k)) == 1 + 2 * k
 
-    @pytest.mark.usefixtures("fan_out_every_superstep")
     @pytest.mark.parametrize(
         "make_program",
         [
@@ -381,16 +406,38 @@ class TestWireFraming:
         ],
         ids=["cc", "bfs"],
     )
-    def test_packed_matches_pickle_with_fewer_bytes(
-        self, medium_graph, make_program
+    def test_pipe_bytes_are_the_sum_of_the_frames(
+        self, medium_graph, make_program, monkeypatch
     ):
-        results = {}
-        for wire in ("packed", "pickle"):
-            with ShardedBSPEngine(
-                medium_graph, num_workers=2, wire=wire
-            ) as engine:
-                results[wire] = (engine.run(make_program()), engine)
-        packed, packed_engine = results["packed"]
-        pickled, pickle_engine = results["pickle"]
-        assert_results_equal(pickled, packed)
-        assert 0 < packed_engine.pipe_bytes < pickle_engine.pipe_bytes
+        """``pipe_bytes`` after one fanned-out run: the run frames, and
+        per recorded barrier one task frame and one reply per
+        participant — a scatter frame carries the shard's sender ids, a
+        gather frame none."""
+        dense = DenseBSPEngine(medium_graph).run(make_program())
+        tel = Telemetry("pins")
+        with ShardedBSPEngine(medium_graph, num_workers=2) as engine:
+            # A run kept in the parent exchanges its run frames only.
+            monkeypatch.setattr(parallel, "_LOCAL_SUPERSTEP_ARCS", 1 << 40)
+            engine.run(make_program())
+            run_frames = engine.pipe_bytes
+            monkeypatch.setattr(parallel, "_LOCAL_SUPERSTEP_ARCS", 0)
+            engine.telemetry = tel
+            sharded = engine.run(make_program())
+            fanned_out = engine.pipe_bytes - run_frames
+        assert_results_equal(dense, sharded)
+        senders = {}  # superstep -> sender count of each worker's shard
+        for c in tel.counters:
+            if c.name == "shard_senders":
+                senders.setdefault(c.superstep, []).append(c.value)
+        expected = run_frames
+        barriers = tel.spans_named("barrier")
+        for span in barriers:
+            if span.args["phase"] == "scatter":
+                shards = [k for k in senders[span.superstep] if k]
+                assert len(shards) == span.args["workers"]
+                expected += sum(
+                    18 + 8 * k + TASK_REPLY_BYTES for k in shards
+                )
+            else:
+                expected += span.args["workers"] * (18 + TASK_REPLY_BYTES)
+        assert barriers and fanned_out == expected

@@ -20,6 +20,7 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.bsp import make_engine
 from repro.bsp_algorithms import (
     bsp_breadth_first_search,
     bsp_connected_components,
@@ -630,7 +631,8 @@ class TestResponsePath:
             lib = bsp_sssp(graph, 5)
             values, extra = lib.distances, {"source": 5}
         elif algorithm == "pagerank":
-            lib = bsp_pagerank(graph, num_supersteps=7, num_workers=2)
+            with make_engine(graph, num_workers=2) as engine:
+                lib = bsp_pagerank(graph, num_supersteps=7, engine=engine)
             values, extra = lib.ranks, {}
         else:
             lib = bsp_k_core(graph, 2)
@@ -812,6 +814,9 @@ class TestObservability:
         assert trace["otherData"]["job_id"] == sub["job_id"]
         spans = [e for e in trace["traceEvents"] if e.get("ph") == "X"]
         assert spans, "non-cached job exported no spans"
+        # The engine holds the session telemetry: its superstep spans
+        # reach the job's trace without any per-call telemetry argument.
+        assert {"job", "superstep"} <= {e["name"] for e in spans}
 
     def test_trace_id_generated_when_absent(self, client):
         status, headers, sub = client.post_raw(
@@ -966,7 +971,7 @@ class TestGracefulShutdown:
             assert svc.jobs.get(job.job_id).status == "done"
         assert svc.engine.closed
         # No orphaned worker processes.
-        assert all(not p.is_alive() for p in svc.engine._procs)
+        assert svc.engine.workers_alive == 0
         with pytest.raises(RuntimeError):
             svc.submit("cc", {})
 

@@ -19,7 +19,10 @@ exercised — CI's multiprocessing smoke job runs the suite with
 ``SHARDED_WORKERS=2``.
 """
 
+import gc
+import inspect
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from repro.bsp import (
     ShardedBSPEngine,
     ShardedWorkerError,
     SumAggregator,
+    _pool,
     make_engine,
     parallel,
 )
@@ -161,15 +165,25 @@ class TestShardedEquivalence:
         assert result.num_supersteps == 0
         assert result.values.size == 0
 
-    def test_spawn_start_method(self):
-        """The pool also works under the spawn start method."""
-        g = star_graph(6)
-        dense = DenseBSPEngine(g).run(DenseConnectedComponents())
-        with ShardedBSPEngine(
-            g, num_workers=2, start_method="spawn"
-        ) as engine:
-            sharded = engine.run(DenseConnectedComponents())
-        assert_results_equal(dense, sharded)
+    def test_spawn_start_method(self, monkeypatch):
+        """The pool also works where the platform cannot fork: the
+        engine asks the platform, so the test answers for it."""
+        asked = []
+        get_context = _pool.get_context
+        monkeypatch.setattr(_pool, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(
+            _pool, "get_context", lambda m: asked.append(m) or get_context(m)
+        )
+        g = GRAPHS["rmat8"]()
+        for check in (False, True):
+            with ShardedBSPEngine(g, num_workers=2, check=check) as engine:
+                for name in ("cc", "bfs", "kcore"):
+                    make_program, engine_kwargs, _ = ALGORITHMS[name]
+                    dense = DenseBSPEngine(g, **engine_kwargs).run(
+                        make_program()
+                    )
+                    assert_results_equal(dense, engine.run(make_program()))
+        assert asked == ["spawn", "spawn"]
 
 
 # -- crash safety ----------------------------------------------------------
@@ -197,7 +211,7 @@ class TestShardedCrashSafety:
             assert_results_equal(dense, recovered)
         finally:
             engine.close()
-        assert all(not p.is_alive() for p in engine._procs)
+        assert engine.workers_alive == 0
 
     def test_gather_without_its_scatter_is_a_worker_error(self):
         """Gather frames carry no senders: a worker asked to deliver a
@@ -221,6 +235,21 @@ class TestShardedCrashSafety:
         engine.close()
         with pytest.raises(RuntimeError, match="closed"):
             engine.run(DenseConnectedComponents())
+
+    def test_closed_engine_is_freed_without_the_collector(self):
+        """No reference cycle through the pool: a closed engine (and the
+        arc-sized arrays it holds) goes when its last reference does —
+        repeated set-ups must not wait for a gen-2 collection."""
+        engine = ShardedBSPEngine(star_graph(5), num_workers=2)
+        engine.run(DenseConnectedComponents())
+        engine.close()
+        gone = weakref.ref(engine)
+        gc.disable()
+        try:
+            del engine
+            assert gone() is None
+        finally:
+            gc.enable()
 
     def test_values_survive_close(self):
         g = star_graph(5)
@@ -466,3 +495,15 @@ class TestEngineSelection:
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError, match="num_workers"):
             ShardedBSPEngine(star_graph(4), num_workers=0)
+
+    def test_constructor_surface(self):
+        """The option census: ten keywords, none of them a wire format
+        or a start method — and no environment variable stands in."""
+        assert list(inspect.signature(ShardedBSPEngine).parameters) == [
+            "graph", "num_workers", "partition", "check", "flight_recorder",
+            "stall_timeout", "combine_messages", "frontier_policy",
+            "aggregators", "costs", "telemetry",
+        ]
+        for kwarg in ("wire", "start_method"):
+            with pytest.raises(TypeError, match=kwarg):
+                ShardedBSPEngine(star_graph(4), **{kwarg: None})

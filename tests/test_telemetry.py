@@ -12,7 +12,12 @@ import json
 import numpy as np
 import pytest
 
-from repro.bsp import BSPEngine, DenseBSPEngine, ShardedBSPEngine
+from repro.bsp import (
+    BSPEngine,
+    DenseBSPEngine,
+    ShardedBSPEngine,
+    make_engine,
+)
 from repro.bsp_algorithms import (
     BSPConnectedComponents,
     DenseConnectedComponents,
@@ -290,7 +295,9 @@ class TestEngineInstrumentation:
 
     def test_wrapper_passes_telemetry(self, graph):
         tel = Telemetry("cc")
-        res = bsp_connected_components(graph, telemetry=tel)
+        res = bsp_connected_components(
+            graph, engine=make_engine(graph, telemetry=tel)
+        )
         assert len(tel.spans_named("superstep")) == res.num_supersteps
 
     def test_graphct_kernel_span_on_cache_miss_only(self, graph):
@@ -328,13 +335,13 @@ class TestShardedLifecycle:
         with ShardedBSPEngine(graph, num_workers=2) as engine:
             result = engine.run(DenseConnectedComponents())
             assert result.num_supersteps > 1
-        assert engine._closed
+        assert engine.closed
 
     def test_close_is_idempotent(self, graph):
         engine = ShardedBSPEngine(graph, num_workers=2)
         engine.close()
         engine.close()  # second close must be a no-op, not an error
-        assert engine._closed
+        assert engine.closed
 
 
 # ---------------------------------------------------------------------
@@ -448,7 +455,9 @@ class TestMemorySampling:
 class TestCorrelation:
     def test_correlate_joins_on_superstep(self, graph):
         tel = Telemetry("cc")
-        res = bsp_connected_components(graph, telemetry=tel)
+        res = bsp_connected_components(
+            graph, engine=make_engine(graph, telemetry=tel)
+        )
         rows = correlate(tel, res.trace, XMTMachine())
         assert [r.superstep for r in rows] == list(
             range(res.num_supersteps)
@@ -490,7 +499,9 @@ class TestCorrelation:
 
     def test_table_renders(self, graph):
         tel = Telemetry("cc")
-        res = bsp_connected_components(graph, telemetry=tel)
+        res = bsp_connected_components(
+            graph, engine=make_engine(graph, telemetry=tel)
+        )
         rows = measured_vs_modeled(tel, res.trace, XMTMachine())
         table = format_measured_vs_modeled(
             rows, processors=128, title="cc"

@@ -12,7 +12,10 @@ stand-in for a wedged worker.  Asserts, end to end:
    format version, stall reason, last barrier state, partition map,
    and per-worker ring events including the stalled worker's open
    gather phase;
-3. ``close()`` afterwards is *bounded* — the still-sleeping worker is
+3. one more run on the same engine fails at once with a typed
+   :class:`~repro.bsp.parallel.ShardedWorkerError` naming the stall —
+   the worker's late reply can never be taken for an answer;
+4. ``close()`` afterwards is *bounded* — the still-sleeping worker is
    escalated join → terminate → kill instead of hanging shutdown.
 
 Usage::
@@ -31,7 +34,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.bsp import parallel
-from repro.bsp.parallel import ShardedBSPEngine, WorkerStallError
+from repro.bsp.parallel import (
+    ShardedBSPEngine,
+    ShardedWorkerError,
+    WorkerStallError,
+)
 from repro.bsp_algorithms.connected_components import DenseConnectedComponents
 from repro.graph.generators import rmat
 
@@ -110,6 +117,19 @@ def main(argv: list[str] | None = None) -> int:
     assert stalled["status"]["phase"] == "gather", stalled["status"]
     kinds = {event["kind"] for event in stalled["events"]}
     assert "enter" in kinds, kinds
+
+    # The pipes are out of step: the same engine must refuse the next
+    # run, typed and at once, and point at the same bundle.
+    t1 = time.monotonic()
+    try:
+        engine.run(DenseConnectedComponents())
+    except ShardedWorkerError as exc:
+        assert "desynchronised" in str(exc) and "stalled" in str(exc), exc
+        assert exc.postmortem_path == error.postmortem_path
+    else:
+        print("FAIL: a run after the stall returned a result")
+        return 1
+    assert time.monotonic() - t1 < 1.0, "the refusal waited on a worker"
 
     # Bounded shutdown: worker 1 is still mid-sleep; close must
     # escalate to SIGKILL instead of waiting the sleep out.
