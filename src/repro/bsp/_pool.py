@@ -139,7 +139,8 @@ class WorkerPool:
 
     def _start(self, spec: dict, arrays: dict) -> None:
         recorder = self.recorder
-        spec = dict(spec, flightrec=None)
+        #: What every worker is started with (plus its ``worker_index``).
+        self.spec = spec = dict(spec, flightrec=None)
         if recorder is not None:
             recorder.open(self.num_workers)
             spec["flightrec"] = recorder.worker_spec()

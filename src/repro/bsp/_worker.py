@@ -1,8 +1,8 @@
 """The child side of the sharded engine: one shard worker process.
 
-A worker owns one vertex shard implicitly — the parent only ever sends
-it the senders that live on its shard — and serves one task per frame
-(:mod:`repro.bsp._wire`) until told to close:
+A worker owns one vertex shard and its out-arcs (its graph is the shard's
+sub-CSR) — the parent only ever sends it the senders that live there —
+and serves one task per frame (:mod:`repro.bsp._wire`) until told to close:
 
 * ``run`` attaches the run's shared blocks (values, this worker's slice
   of the per-destination output, and in check mode its shadow slice);
@@ -69,29 +69,24 @@ class _Shard:
 
     def __init__(self, spec: dict, ring: RingWriter | None) -> None:
         self.n = n = spec["num_vertices"]
-        m = spec["num_arcs"]
         self.index = w = spec["worker_index"]
+        bounds = spec["arc_bounds"]
+        m, shard = bounds[-1], slice(bounds[w], bounds[w + 1])
         self.ring = ring
         self._static: list[shared_memory.SharedMemory] = []
         self._run_blocks: list[shared_memory.SharedMemory] = []
-        row_ptr = self._view(self._static, spec["row_ptr"], n + 1, np.int64)
-        col_idx = self._view(self._static, spec["col_idx"], m, np.int64)
-        weights = (
-            self._view(self._static, spec["weights"], m, np.float64)
-            if spec["weights"] is not None
-            else None
-        )
+
+        def arcs(key: str, dtype: Any) -> np.ndarray:
+            return self._view(self._static, spec[key], m, dtype)[shard]
+
+        # The shard's out-arcs over the global vertex ids (other workers'
+        # rows are empty): per-arc sources stay global, sweeps are O(m / W).
         self.graph = CSRGraph(
-            row_ptr=row_ptr,
-            col_idx=col_idx,
-            weights=weights,
-            directed=spec["directed"],
+            self._view(self._static, spec["row_ptr"], n + 1, np.int64, row=w),
+            arcs("col_idx", np.int64),
+            arcs("weights", np.float64) if spec["weights"] else None,
+            directed=True,
             sorted_adjacency=spec["sorted_adjacency"],
-        )
-        # Seed the per-arc source cache from shared memory so workers
-        # don't each rebuild (and privately hold) the O(arcs) expansion.
-        self.graph._degree_cache["arc_sources"] = self._view(
-            self._static, spec["arc_sources"], m, np.int64
         )
         self.hist_out = self._view(
             self._static, spec["hist"], n, np.int64, row=w
@@ -158,7 +153,10 @@ class _Shard:
         self.generation = generation
         self.sel = select_arcs(senders, graph.row_ptr, mode)
         self.dst = graph.col_idx[self.sel]
-        self.hist_out[:] = np.bincount(self.dst, minlength=self.n)
+        if isinstance(self.sel, slice):  # the whole shard: nothing to count
+            self.hist_out[:] = graph.in_degrees()
+        else:
+            self.hist_out[:] = np.bincount(self.dst, minlength=self.n)
         return int(self.dst.size)
 
     def gather(self, generation: int) -> int:

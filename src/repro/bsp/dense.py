@@ -235,6 +235,10 @@ class DenseVertexProgram(ABC):
         per superstep); both index arc-parallel arrays identically, so
         implementations must treat it as an opaque fancy index.  The
         result must be parallel to ``graph.col_idx[selection]``.
+        ``graph`` is the engine's view of the arcs being delivered (on the
+        sharded engine one shard's subgraph): read arc-parallel arrays via
+        ``selection``, per-vertex ones (``degrees()``, ``values``) at the
+        *sources* of selected arcs, nothing whole-graph (``num_arcs``...).
         Payloads are evaluated lazily at delivery time, which is
         equivalent to eager sending because a sender's state cannot
         change between the end of the superstep that sent and the

@@ -11,12 +11,12 @@ to many (Buluç & Madduri's distributed BFS; Pregel's worker model).
 
 Design:
 
-* **Zero-copy graph sharing** — the frozen CSR arrays (``row_ptr``,
-  ``col_idx``, ``weights``, plus the cached per-arc source vector) are
-  placed in :mod:`multiprocessing.shared_memory` once at pool start;
-  every worker maps them read-only.  The per-vertex ``values`` array
-  lives in a shared block too, so the parent's ``compute`` updates are
-  visible to workers without any per-superstep copy.
+* **A worker owns its arcs** — the frozen CSR goes into
+  :mod:`multiprocessing.shared_memory` once at pool start, arcs grouped
+  by owning worker (:func:`_shard_layout`); each worker maps its range
+  read-only as its shard's sub-CSR, so its sweeps are O(m / W) and a flood
+  of its whole shard is a slice.  The per-vertex ``values`` array is
+  shared too: the parent's ``compute`` updates reach workers with no copy.
 * **Vertex partitioning** — vertices are assigned to workers with the
   cluster placement policies (:func:`~repro.cluster.partition.hash_partition`
   or :func:`~repro.cluster.partition.balanced_edge_partition`); a
@@ -70,7 +70,7 @@ import numpy as np
 from repro.bsp._pool import WorkerPool, release_block, shared_array
 from repro.bsp._wire import OkReply, ShardedWorkerError, WorkerStallError
 from repro.bsp.dense import DenseBSPEngine, DenseVertexProgram
-from repro.bsp.frontier import FrontierPolicy
+from repro.bsp.frontier import FrontierPolicy, arc_indices
 from repro.cluster.partition import balanced_edge_partition, hash_partition
 from repro.graph.csr import CSRGraph
 from repro.telemetry.core import Telemetry, worker_track
@@ -132,6 +132,22 @@ _LOCAL_SUPERSTEP_ARCS = 1 << 14
 #: Gather frames name a generation, not senders: the worker delivers the
 #: selection it cached at the scatter exchange that always precedes.
 _NO_SENDERS = np.empty(0, dtype=np.int64)
+
+
+def _shard_layout(
+    graph: CSRGraph, assignment: np.ndarray, num_workers: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The arcs regrouped by owning worker, in O(m): ``(order, row_ptr)``.
+
+    ``order`` lists worker 0's out-arcs, then worker 1's, ..., each group
+    in ascending arc order; row ``w`` of ``row_ptr`` indexes group ``w``
+    from 0 over the global vertex ids (other workers' rows are empty).
+    """
+    order = arc_indices(np.argsort(assignment, kind="stable"), graph.row_ptr)
+    row_ptr = np.zeros((num_workers, graph.num_vertices + 1), dtype=np.int64)
+    for w, row in enumerate(row_ptr):
+        np.cumsum(np.where(assignment == w, graph.degrees(), 0), out=row[1:])
+    return order, row_ptr
 
 
 def _pool_view(name: str, doc: str) -> property:
@@ -283,19 +299,20 @@ class ShardedBSPEngine(DenseBSPEngine):
         self._participants: tuple[int, ...] = ()
         self._generation = 0
         n = graph.num_vertices
+        order, row_ptr = _shard_layout(graph, assignment, num_workers)
         self._pool = WorkerPool(
             num_workers,
             {
                 "num_vertices": n,
-                "num_arcs": graph.num_arcs,
-                "directed": graph.directed,
+                # Worker w's arcs are [arc_bounds[w], arc_bounds[w + 1]).
+                "arc_bounds": [0, *np.cumsum(row_ptr[:, -1]).tolist()],
                 "sorted_adjacency": graph.sorted_adjacency,
             },
             {
-                "row_ptr": graph.row_ptr,
-                "col_idx": graph.col_idx,
-                "weights": graph.weights,
-                "arc_sources": graph.arc_sources(),
+                "row_ptr": row_ptr,
+                "col_idx": graph.col_idx[order],
+                "weights": None if graph.weights is None
+                else graph.weights[order],
                 # Row w: worker w's per-destination scatter histogram.
                 "hist": np.zeros((num_workers, n), dtype=np.int64),
             },

@@ -82,6 +82,11 @@ _ORDER_SENSITIVE_CALLS = frozenset({
     "itertools.accumulate",
 })
 
+#: Whole-graph reads flagged in arc_payload (REP106): a shard's differ.
+_WHOLE_GRAPH_READS = frozenset({
+    "num_arcs", "num_edges", "row_ptr", "in_degrees", "reverse", "directed",
+})
+
 #: Method names whose call mutates the receiver in place (REP103).
 _MUTATING_METHODS = frozenset({
     "append", "add", "update", "extend", "insert", "setdefault",
@@ -728,7 +733,7 @@ class _FileLinter:
         args = func.args.posonlyargs + func.args.args
         if len(args) < 4:
             return
-        selname = args[3].arg
+        graphname, selname = args[1].arg, args[3].arg
 
         # The blessed use is arr[selection]: the selection must be the
         # *entire* slice expression (or one element of a tuple slice for
@@ -752,6 +757,16 @@ class _FileLinter:
                         "over per-arc payloads; the fold across arcs "
                         "must go through the engine's combiner",
                     )
+            if (
+                isinstance(node, ast.Attribute) and node.attr in _WHOLE_GRAPH_READS
+                and isinstance(node.value, ast.Name) and node.value.id == graphname
+            ):
+                self._report(
+                    "REP106", node,
+                    f"`{graphname}.{node.attr}` describes the whole graph, "
+                    "but a sharded worker's `graph` is its shard's subgraph; "
+                    "read arcs through the selection, vertices at their sources",
+                )
             if not (
                 isinstance(node, ast.Name)
                 and node.id == selname

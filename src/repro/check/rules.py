@@ -117,7 +117,7 @@ _RULE_LIST = (
     ),
     Rule(
         id="REP106",
-        title="selection misuse / order-sensitive accumulation",
+        title="selection or graph misuse / order-sensitive accumulation",
         severity="error",
         summary=(
             "arc_payload treats the opaque `selection` argument as "
@@ -130,7 +130,10 @@ _RULE_LIST = (
             "— the three forms only agree when used as an opaque index "
             "(arr[selection]) or via "
             "repro.bsp.frontier.selected_arc_count; anything else makes "
-            "sparse, dense and all-arc supersteps diverge."
+            "sparse, dense and all-arc supersteps diverge.  Likewise "
+            "`graph` is the arcs being delivered — one shard's subgraph on "
+            "the sharded engine — so whole-graph reads (num_arcs, num_edges, "
+            "row_ptr, in_degrees(), reverse(), directed) vary by partition."
         ),
     ),
 )

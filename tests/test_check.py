@@ -262,6 +262,32 @@ class TestLinterRules:
         """)
         assert rule_ids(result) == []
 
+    def test_rep106_whole_graph_read(self):
+        # On the sharded engine `graph` is one shard's subgraph: its arc
+        # count is the shard's, so this payload depends on the partition.
+        result = lint("""
+            class P(DenseVertexProgram):
+                def arc_payload(self, graph, values, selection):
+                    share = values / graph.num_arcs
+                    return share[graph.arc_sources()[selection]]
+        """)
+        assert rule_ids(result) == ["REP106"]
+        assert "graph.num_arcs" in result.diagnostics[0].message
+
+    def test_rep106_selected_arcs_and_their_sources_are_clean(self):
+        # Arc-parallel arrays through the selection, per-vertex ones for
+        # the sources of selected arcs: true on any shard.
+        result = lint("""
+            class P(DenseVertexProgram):
+                def arc_payload(self, graph, values, selection):
+                    src = graph.arc_sources()[selection]
+                    share = values[src] / graph.degrees()[src]
+                    if graph.weights is not None:
+                        share = share * graph.weights[selection]
+                    return share + graph.num_vertices
+        """)
+        assert rule_ids(result) == []
+
     def test_non_program_classes_are_not_linted(self):
         result = lint("""
             class Helper:
@@ -569,7 +595,7 @@ class _ConflictingCC(DenseConnectedComponents):
 
     def arc_payload(self, graph, values, selection):
         payload = super().arc_payload(graph, values, selection)
-        values[0] = float(np.asarray(selection).sum())
+        values[0] = float(graph.col_idx[selection].sum())
         return payload
 
 

@@ -1,6 +1,8 @@
 """Property-based tests (hypothesis): algorithm invariants and
 cross-model equivalence on random graphs."""
 
+from types import SimpleNamespace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -73,6 +75,34 @@ class TestConnectedComponentsProperties:
             eng.values_array(dtype=np.int64), vec.labels
         )
         assert eng.messages_per_superstep == vec.messages_per_superstep
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_num_components_counts_distinct_labels(self, data):
+        """Whatever labels the engine hands back — any vector over the
+        vertex ids — the count is that of ``np.unique``."""
+        n = data.draw(st.integers(min_value=0, max_value=40))
+        labels = np.asarray(
+            data.draw(st.lists(st.integers(0, max(n - 1, 0)),
+                               min_size=n, max_size=n)),
+            dtype=np.int64,
+        )
+        g = from_edge_list([], n)
+        finished = SimpleNamespace(
+            values=labels, num_supersteps=0, active_per_superstep=[],
+            messages_per_superstep=[], trace=None,
+        )
+        engine = SimpleNamespace(graph=g, run=lambda *a, **kw: finished)
+        counted = bsp_connected_components(g, engine=engine).num_components
+        assert counted == np.unique(labels).size
+
+    @given(graphs(), st.integers(min_value=1, max_value=4))
+    @settings(max_examples=60)
+    def test_num_components_of_a_truncated_run(self, g, max_supersteps):
+        """Cut short, labels are not yet component minima (a "label ==
+        own id" count would be wrong); distinct labels still count."""
+        cut = bsp_connected_components(g, max_supersteps=max_supersteps)
+        assert cut.num_components == np.unique(cut.labels).size
 
 
 class TestBFSProperties:

@@ -36,6 +36,7 @@ from repro.bsp import (
     ShardedWorkerError,
     SumAggregator,
     _pool,
+    _worker,
     make_engine,
     parallel,
 )
@@ -298,6 +299,186 @@ class TestShardedCheckpoints:
         )
         assert np.array_equal(resumed.values, clean.values)
         assert resumed.num_supersteps == clean.num_supersteps
+
+
+# -- shard layout ----------------------------------------------------------
+
+
+def _directed_weighted():
+    rng = np.random.default_rng(11)
+    edges = [(i % 20, (i * 7 + 3) % 20) for i in range(60)]
+    return from_edge_list(
+        edges, 20, weights=rng.uniform(0.1, 5.0, size=60), directed=True
+    )
+
+
+LAYOUT_GRAPHS = {
+    "rmat7": lambda: rmat(scale=7, edge_factor=8, seed=5),
+    "directed-weighted": _directed_weighted,
+    "isolated": GRAPHS["isolated"],
+    "self-loops": lambda: from_edge_list(
+        [(0, 0), (0, 1), (1, 1), (2, 3), (3, 3)], 5, remove_self_loops=False
+    ),
+    # Every endpoint is a multiple of 4: under the hash placement all
+    # other workers own vertices but not one arc.
+    "idle-worker": lambda: from_edge_list([(0, 4), (4, 8)], 10),
+    "empty": lambda: from_edge_list([], 0),
+}
+
+LAYOUT_PARTITIONS = {
+    "hash": lambda n, w: "hash",
+    "balanced-edge": lambda n, w: "balanced-edge",
+    "custom": lambda n, w: np.random.default_rng(n).integers(0, w, size=n),
+}
+
+
+@pytest.fixture(params=sorted(LAYOUT_GRAPHS), scope="module")
+def layout_graph(request):
+    return LAYOUT_GRAPHS[request.param]()
+
+
+@pytest.fixture(params=sorted(LAYOUT_PARTITIONS))
+def layout_partition(request, layout_graph, num_workers):
+    return LAYOUT_PARTITIONS[request.param](
+        layout_graph.num_vertices, num_workers
+    )
+
+
+def _shards(engine):
+    """In-process twins of the engine's workers, built as they build
+    themselves: from the pool's spec (no flight-recorder ring)."""
+    return [
+        _worker._Shard(dict(engine._pool.spec, worker_index=w), None)
+        for w in range(engine.num_workers)
+    ]
+
+
+class TestShardLayout:
+    """A worker's graph is the sub-CSR of its shard: its vertices'
+    out-arcs, in global arc order, over the global vertex ids."""
+
+    def test_shards_partition_the_arcs_in_order(
+        self, layout_graph, num_workers, layout_partition
+    ):
+        g = layout_graph
+        with ShardedBSPEngine(
+            g, num_workers=num_workers, partition=layout_partition
+        ) as engine:
+            bounds = engine._pool.spec["arc_bounds"]
+            assert bounds[0] == 0 and bounds[-1] == g.num_arcs
+            assert len(bounds) == num_workers + 1
+            owner = engine.assignment[g.arc_sources()]
+            shards = _shards(engine)
+            for w, shard in enumerate(shards):
+                mine = owner == w
+                sub = shard.graph
+                assert sub.num_arcs == bounds[w + 1] - bounds[w]
+                assert sub.num_vertices == g.num_vertices
+                assert np.array_equal(sub.arc_sources(), g.arc_sources()[mine])
+                assert np.array_equal(sub.col_idx, g.col_idx[mine])
+                if g.weights is None:
+                    assert sub.weights is None
+                else:
+                    assert np.array_equal(sub.weights, g.weights[mine])
+                # Per-vertex quantities hold for the shard's own vertices.
+                owned = engine.assignment == w
+                assert np.array_equal(sub.degrees()[owned], g.degrees()[owned])
+                assert not sub.degrees()[~owned].any()
+            for shard in shards:
+                shard.close()
+
+    @pytest.mark.parametrize("name", ["rmat7", "directed-weighted", "idle-worker"])
+    def test_whole_shard_flood_is_a_slice(self, name, num_workers):
+        g = LAYOUT_GRAPHS[name]()
+        with ShardedBSPEngine(g, num_workers=num_workers) as engine:
+            hist = engine._pool.arrays["hist"]
+            shards = _shards(engine)
+            for w, shard in enumerate(shards):
+                owned = np.flatnonzero(engine.assignment == w)
+                m_w = shard.graph.num_arcs
+                assert shard.scatter(1, owned, "dense") == m_w
+                assert shard.sel == slice(0, m_w)
+                assert np.shares_memory(shard.dst, shard.graph.col_idx) or not m_w
+                assert np.array_equal(hist[w], shard.graph.in_degrees())
+                assert np.array_equal(
+                    hist[w], np.bincount(shard.graph.col_idx, minlength=g.num_vertices)
+                )
+                senders = owned[g.degrees()[owned] > 0]
+                if senders.size < 2:
+                    continue
+                # All but one sender: dense, but not the whole shard.
+                assert shard.scatter(2, senders[1:], "dense") < m_w
+                assert shard.sel.dtype == bool and shard.sel.size == m_w
+                assert np.array_equal(
+                    hist[w], np.bincount(shard.dst, minlength=g.num_vertices)
+                )
+                assert not np.array_equal(hist[w], shard.graph.in_degrees())
+            for shard in shards:
+                shard.close()
+
+    @pytest.mark.usefixtures("fan_out_every_superstep")
+    @pytest.mark.parametrize("check", [False, True], ids=["plain", "check"])
+    @pytest.mark.parametrize("algorithm", ["cc", "sssp", "pagerank", "kcore"])
+    @pytest.mark.parametrize("name", ["rmat7", "directed-weighted"])
+    def test_matches_dense_with_and_without_check(
+        self, name, algorithm, check, num_workers, partition
+    ):
+        g = LAYOUT_GRAPHS[name]()
+        make_program, engine_kwargs, float_values = ALGORITHMS[algorithm]
+        dense = DenseBSPEngine(g, **engine_kwargs).run(make_program())
+        with ShardedBSPEngine(
+            g, num_workers=num_workers, partition=partition, check=check,
+            **engine_kwargs,
+        ) as engine:
+            sharded = engine.run(make_program())
+        # Exact folds are bit-identical; PageRank's per-shard partial
+        # sums merge in shard order (see ALGORITHMS).
+        assert_results_equal(
+            dense, sharded, float_values=float_values and num_workers > 1
+        )
+
+    @pytest.mark.usefixtures("fan_out_every_superstep")
+    @pytest.mark.parametrize("check", [False, True], ids=["plain", "check"])
+    def test_resume_right_after_a_full_flood(self, check, num_workers):
+        """CC's superstep 0 floods every arc; a run resumed at superstep
+        1 has no cached scatter, so each worker selects its whole shard
+        again — as a slice — and the run ends as the dense engine's does."""
+        g = LAYOUT_GRAPHS["rmat7"]()
+        store = CheckpointStore()
+        with ShardedBSPEngine(g, num_workers=num_workers, check=check) as engine:
+            engine.run(
+                DenseConnectedComponents(),
+                max_supersteps=2,
+                checkpoint_every=1,
+                checkpoint_store=store,
+            )
+            assert store.latest.superstep == 1
+            assert store.latest.dense_senders.size == g.num_vertices
+            resumed = engine.run(
+                DenseConnectedComponents(), resume_from=store.latest
+            )
+        dense = DenseBSPEngine(g).run(
+            DenseConnectedComponents(), resume_from=store.latest
+        )
+        assert_results_equal(dense, resumed)
+
+    def test_one_static_block_fewer_and_none_left_behind(self):
+        before = set(os.listdir("/dev/shm"))
+        for g, blocks in (
+            (LAYOUT_GRAPHS["rmat7"](), {"row_ptr", "col_idx", "hist"}),
+            (
+                LAYOUT_GRAPHS["directed-weighted"](),
+                {"row_ptr", "col_idx", "weights", "hist"},
+            ),
+        ):
+            engine = ShardedBSPEngine(g, num_workers=2)
+            try:
+                assert set(engine._pool.arrays) == blocks
+                assert len(engine._pool._blocks) == len(blocks)
+                engine.run(DenseConnectedComponents())
+            finally:
+                engine.close()
+        assert set(os.listdir("/dev/shm")) <= before
 
 
 # -- local supersteps ------------------------------------------------------
