@@ -238,7 +238,9 @@ class DenseVertexProgram(ABC):
         ``graph`` is the engine's view of the arcs being delivered (on the
         sharded engine one shard's subgraph): read arc-parallel arrays via
         ``selection``, per-vertex ones (``degrees()``, ``values``) at the
-        *sources* of selected arcs, nothing whole-graph (``num_arcs``...).
+        *sources* of selected arcs — through
+        :func:`repro.bsp.frontier.source_values`, which expands them by
+        run length — and nothing whole-graph (``num_arcs``...).
         Payloads are evaluated lazily at delivery time, which is
         equivalent to eager sending because a sender's state cannot
         change between the end of the superstep that sent and the

@@ -23,6 +23,9 @@ All forms index NumPy arc-parallel arrays (``col_idx``, ``weights``,
 ``arc_sources``) identically and in the same ascending arc order, so
 every downstream kernel — payload evaluation, per-destination
 histograms, combiner folds — produces bit-identical results either way.
+Per-vertex quantities reach the arcs through :func:`source_values`,
+which repeats a sender's value along its CSR row instead of gathering
+it once per arc.
 :class:`FrontierPolicy` picks the representation per superstep with the
 GBBS-style heuristic: go dense once the frontier-incident arc count
 exceeds ``m / k`` ("Theoretically Efficient Parallel Graph Algorithms
@@ -38,12 +41,12 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.bsp._scatter import arcs_from
-from repro.graph.properties import _ragged_arange
+from repro.graph.csr import CSRGraph
 
 #: An arc selection: boolean mask over all arcs (dense), sorted int64
 #: arc indices (sparse), or the slice covering every arc (full).  Opaque
 #: to programs — valid only as an index into arc-parallel arrays or via
-#: :func:`selected_arc_count`.
+#: :func:`selected_arc_count` / :func:`source_values`.
 ArcSelection = NDArray[np.bool_] | NDArray[np.int64] | slice
 
 __all__ = [
@@ -55,6 +58,7 @@ __all__ = [
     "arc_indices",
     "select_arcs",
     "selected_arc_count",
+    "source_values",
 ]
 
 #: Frontier / arc-selection representation names.
@@ -124,7 +128,10 @@ def arc_indices(
     """
     starts = row_ptr[senders]
     counts = row_ptr[senders + 1] - starts
-    return np.repeat(starts, counts) + _ragged_arange(counts)
+    total = int(counts.sum())
+    # One repeat: each arc's row start less its offset in the output.
+    shift = starts - (np.cumsum(counts) - counts)
+    return np.repeat(shift, counts) + np.arange(total, dtype=np.int64)
 
 
 def select_arcs(
@@ -141,7 +148,7 @@ def select_arcs(
     if mode == SPARSE:
         return arc_indices(senders, row_ptr)
     num_arcs = int(row_ptr[-1])
-    if int(np.diff(row_ptr)[senders].sum()) == num_arcs:
+    if int((row_ptr[senders + 1] - row_ptr[senders]).sum()) == num_arcs:
         return slice(0, num_arcs)
     return arcs_from(senders, row_ptr)
 
@@ -153,3 +160,28 @@ def selected_arc_count(selection: ArcSelection) -> int:
     if selection.dtype == np.bool_:
         return int(np.count_nonzero(selection))
     return int(selection.size)
+
+
+def source_values(
+    graph: CSRGraph, per_vertex: np.ndarray, selection: ArcSelection
+) -> np.ndarray:
+    """``per_vertex`` at the source of every selected arc.
+
+    Bit-identical (dtype, values, order) to
+    ``per_vertex[graph.arc_sources()[selection]]``, but a sender's
+    out-arcs are one CSR row, so the value is expanded by run length
+    instead of gathered per arc: no m-long compress, no ``arc_sources``.
+    Relies on what :func:`select_arcs` guarantees — a slice covers every
+    arc and a mask selects *whole rows* (:func:`arcs_from`), so the
+    mask's value at a row's first arc says whether the row is in (an
+    empty row reads its successor's and repeats zero times).  A mask
+    that splits a row is outside the contract: the row is taken whole or
+    not at all, by its first arc.
+    """
+    degrees = graph.degrees()
+    if isinstance(selection, slice):
+        return np.repeat(per_vertex, degrees)
+    if selection.dtype != np.bool_:  # sparse: k <= m/3 arcs, gather them
+        return per_vertex[graph.arc_sources()[selection]]
+    senders = np.flatnonzero(selection.take(graph.row_ptr[:-1], mode="clip"))
+    return np.repeat(per_vertex[senders], degrees[senders])

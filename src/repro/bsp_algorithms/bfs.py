@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.bsp import engine_for
 from repro.bsp.dense import DenseSuperstepContext, DenseVertexProgram
+from repro.bsp.frontier import source_values
 from repro.bsp.vertex import VertexContext, VertexProgram
 from repro.graph.csr import CSRGraph
 from repro.xmt.trace import WorkTrace
@@ -109,9 +110,9 @@ class DenseBreadthFirstSearch(DenseVertexProgram):
     def arc_payload(
         self, graph: CSRGraph, values: np.ndarray, selection: np.ndarray
     ) -> np.ndarray:
-        """A sender floods its distance; +1 charged at the receiving arc
-        (same value as sending ``dist + 1``)."""
-        return values[graph.arc_sources()[selection]] + 1
+        """A sender floods its distance plus one (the add runs once per
+        vertex, not per arc; unreached vertices never send)."""
+        return source_values(graph, values + 1, selection)
 
     def compute(self, ctx: DenseSuperstepContext) -> np.ndarray | None:
         ctx.vote_to_halt()

@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.bsp import engine_for
 from repro.bsp.dense import DenseSuperstepContext, DenseVertexProgram
+from repro.bsp.frontier import source_values
 from repro.bsp.vertex import VertexContext, VertexProgram
 from repro.graph.csr import CSRGraph
 from repro.xmt.trace import WorkTrace
@@ -77,7 +78,7 @@ class DenseConnectedComponents(DenseVertexProgram):
         self, graph: CSRGraph, values: np.ndarray, selection: np.ndarray
     ) -> np.ndarray:
         """A sender floods its current label."""
-        return values[graph.arc_sources()[selection]]
+        return source_values(graph, values, selection)
 
     def compute(self, ctx: DenseSuperstepContext) -> np.ndarray | None:
         ctx.vote_to_halt()

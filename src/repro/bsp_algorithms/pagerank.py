@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.bsp import engine_for
 from repro.bsp.dense import DenseSuperstepContext, DenseVertexProgram
+from repro.bsp.frontier import source_values
 from repro.bsp.vertex import VertexContext, VertexProgram
 from repro.graph.csr import CSRGraph
 from repro.xmt.trace import WorkTrace
@@ -106,7 +107,7 @@ class DensePageRank(DenseVertexProgram):
         deg = graph.degrees().astype(np.float64)
         share = np.zeros(values.size)
         np.divide(values, deg, out=share, where=deg > 0)
-        return share[graph.arc_sources()[selection]]
+        return source_values(graph, share, selection)
 
     def compute(self, ctx: DenseSuperstepContext) -> np.ndarray | None:
         n = ctx.num_vertices

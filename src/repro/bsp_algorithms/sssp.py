@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.bsp import engine_for
 from repro.bsp.dense import DenseSuperstepContext, DenseVertexProgram
+from repro.bsp.frontier import source_values
 from repro.bsp.vertex import VertexContext, VertexProgram
 from repro.graph.csr import CSRGraph
 from repro.xmt.trace import WorkTrace
@@ -78,10 +79,9 @@ class DenseShortestPaths(DenseVertexProgram):
     ) -> np.ndarray:
         """A sender floods its distance plus the arc weight (unit arcs
         when the graph is unweighted)."""
-        payload = values[graph.arc_sources()[selection]]
         if graph.weights is not None:
-            return payload + graph.weights[selection]
-        return payload + 1.0
+            return source_values(graph, values, selection) + graph.weights[selection]
+        return source_values(graph, values + 1.0, selection)
 
     def compute(self, ctx: DenseSuperstepContext) -> np.ndarray | None:
         ctx.vote_to_halt()

@@ -82,6 +82,9 @@ _ORDER_SENSITIVE_CALLS = frozenset({
     "itertools.accumulate",
 })
 
+#: repro.bsp.frontier helpers an arc_payload may hand `selection` to (REP106).
+_SELECTION_HELPERS = ("selected_arc_count", "source_values")
+
 #: Whole-graph reads flagged in arc_payload (REP106): a shard's differ.
 _WHOLE_GRAPH_READS = frozenset({
     "num_arcs", "num_edges", "row_ptr", "in_degrees", "reverse", "directed",
@@ -778,7 +781,7 @@ class _FileLinter:
             parent = _parent(node)
             if isinstance(parent, ast.Call) and node in parent.args:
                 path = self.imports.resolve(parent.func) or ""
-                if path.endswith("selected_arc_count"):
+                if path.endswith(_SELECTION_HELPERS):
                     continue
                 self._report(
                     "REP106", node,
@@ -786,7 +789,7 @@ class _FileLinter:
                     f"{path or 'a function'}(); the selection is a "
                     "mask, an index array or a slice depending on the "
                     "flood — use it only as an index or via "
-                    "selected_arc_count()",
+                    "selected_arc_count() / source_values()",
                 )
             else:
                 self._report(

@@ -128,8 +128,8 @@ _RULE_LIST = (
             "depending on the per-superstep frontier decision, or the "
             "slice over the whole arc array when every arc is selected "
             "— the three forms only agree when used as an opaque index "
-            "(arr[selection]) or via "
-            "repro.bsp.frontier.selected_arc_count; anything else makes "
+            "(arr[selection]) or via repro.bsp.frontier's "
+            "selected_arc_count / source_values; anything else makes "
             "sparse, dense and all-arc supersteps diverge.  Likewise "
             "`graph` is the arcs being delivered — one shard's subgraph on "
             "the sharded engine — so whole-graph reads (num_arcs, num_edges, "

@@ -97,19 +97,10 @@ def _ragged_arange(counts: np.ndarray) -> np.ndarray:
 
     For counts ``[2, 0, 3]`` returns ``[0, 1, 0, 1, 2]``.
     """
+    # Position in the output less the start of the run it falls in.
+    run_starts = np.cumsum(counts) - counts
     total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    # Standard trick: fill with ones, then set the first element of each run
-    # to (1 - previous run length) so the cumulative sum restarts at zero.
-    out = np.ones(total, dtype=np.int64)
-    nonzero = counts > 0
-    run_lengths = counts[nonzero]
-    run_starts = np.concatenate([[0], np.cumsum(run_lengths)[:-1]])
-    out[run_starts[0]] = 0
-    if run_starts.size > 1:
-        out[run_starts[1:]] = 1 - run_lengths[:-1]
-    return np.cumsum(out)
+    return np.arange(total, dtype=np.int64) - np.repeat(run_starts, counts)
 
 
 def connected_component_sizes(graph: CSRGraph) -> np.ndarray:

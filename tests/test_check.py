@@ -288,6 +288,30 @@ class TestLinterRules:
         """)
         assert rule_ids(result) == []
 
+    def test_rep106_source_values_helper_is_clean(self):
+        # The run-length helper understands all three selection forms,
+        # so handing it the selection is sanctioned like
+        # selected_arc_count; arc-parallel weights still go by index.
+        result = lint("""
+            from repro.bsp.frontier import source_values
+            class P(DenseVertexProgram):
+                def arc_payload(self, graph, values, selection):
+                    payload = source_values(graph, values, selection)
+                    return payload + graph.weights[selection]
+        """)
+        assert rule_ids(result) == []
+
+    def test_rep106_selection_passed_to_arbitrary_function(self):
+        result = lint("""
+            def expand(graph, values, selection):
+                return values[graph.arc_sources()[selection]]
+            class P(DenseVertexProgram):
+                def arc_payload(self, graph, values, selection):
+                    return expand(graph, values, selection)
+        """)
+        assert rule_ids(result) == ["REP106"]
+        assert "source_values" in result.diagnostics[0].message
+
     def test_non_program_classes_are_not_linted(self):
         result = lint("""
             class Helper:

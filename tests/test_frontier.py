@@ -17,6 +17,8 @@ Three contracts from the frontier work:
   their sum over the exchanges a run made.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,7 @@ from repro.bsp.frontier import (
     arc_indices,
     select_arcs,
     selected_arc_count,
+    source_values,
 )
 from repro.bsp_algorithms import (
     BSPBreadthFirstSearch,
@@ -49,7 +52,8 @@ from repro.bsp_algorithms import (
     DenseShortestPaths,
 )
 from repro.bsp_algorithms.bfs import UNREACHED
-from repro.graph import from_edge_list, path_graph, rmat, star_graph
+from repro.graph import CSRGraph, from_edge_list, path_graph, rmat, star_graph
+from repro.graph.builder import from_edge_array
 from repro.telemetry.core import Telemetry
 from tests.test_dense_engine import assert_results_equal
 
@@ -139,6 +143,18 @@ class TestSelection:
             assert np.array_equal(g.col_idx[mask], g.col_idx[idx])
             assert np.array_equal(g.col_idx[dense], g.col_idx[idx])
 
+    @given(st.lists(st.integers(min_value=0, max_value=23), max_size=30))
+    def test_arc_indices_concatenates_the_senders_rows(self, senders):
+        """Any sender order (the shard layout passes an owner-sorted
+        one), zero-degree senders and the empty set included."""
+        g = from_edge_list([(0, 1), (0, 5), (1, 5), (5, 9), (9, 20)], 24)
+        senders = np.asarray(senders, dtype=np.int64)
+        rows = [np.arange(g.row_ptr[v], g.row_ptr[v + 1]) for v in senders]
+        expected = np.concatenate(rows + [np.empty(0, dtype=np.int64)])
+        got = arc_indices(senders, g.row_ptr)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+
     def test_full_flood_is_the_whole_arc_slice(self):
         """Every arc selected <=> the dense form is ``slice(0, m)``."""
         # Vertices 2 and 5 are isolated; 0 has out-arcs only.
@@ -176,6 +192,149 @@ class TestSelection:
             assert isinstance(selection, np.ndarray)
             assert selection.dtype == bool
             assert selected_arc_count(selection) < g.num_arcs
+
+
+# -- run-length payloads -----------------------------------------------------
+
+
+def gather_idiom(graph, per_vertex, selection):
+    """What ``source_values`` must equal, bit for bit."""
+    return per_vertex[graph.arc_sources()[selection]]
+
+
+def shard_subgraph(graph, worker, num_workers):
+    """Worker ``worker``'s sub-CSR under a hash partition, laid out as
+    the sharded engine lays it out: global vertex ids, other workers'
+    rows empty."""
+    assignment = np.arange(graph.num_vertices) % num_workers
+    order, row_ptr = parallel._shard_layout(graph, assignment, num_workers)
+    lo = int(row_ptr[:worker, -1].sum())
+    hi = lo + int(row_ptr[worker, -1])
+    return CSRGraph(row_ptr[worker], graph.col_idx[order][lo:hi], directed=True)
+
+
+@st.composite
+def payload_graph(draw):
+    """One graph from each family the payload expansion must survive."""
+    family = draw(
+        st.sampled_from(
+            ["rmat", "directed-weighted", "isolated", "self-loops", "empty", "shard"]
+        )
+    )
+    seed = draw(st.integers(min_value=0, max_value=7))
+    rng = np.random.default_rng(seed)
+    if family == "rmat":
+        return rmat(scale=5, edge_factor=4, seed=seed)
+    if family == "shard":
+        num_workers = draw(st.sampled_from([2, 3]))
+        worker = draw(st.integers(min_value=0, max_value=num_workers - 1))
+        whole = rmat(scale=5, edge_factor=4, seed=seed)
+        return shard_subgraph(whole, worker, num_workers)
+    n = 24
+    if family == "empty":
+        return from_edge_list([], n)
+    # "isolated": only the low half of the ids ever gets an arc.
+    edges = rng.integers(0, n // 2 if family == "isolated" else n, size=(40, 2))
+    if family == "self-loops":
+        edges[::3, 1] = edges[::3, 0]
+        return from_edge_array(edges, n, directed=True, remove_self_loops=False)
+    if family == "directed-weighted":
+        return from_edge_array(edges, n, directed=True, weights=rng.random(40))
+    return from_edge_array(edges, n)
+
+
+def per_vertex_array(n, dtype, seed):
+    rng = np.random.default_rng(seed)
+    if dtype is np.bool_:
+        return rng.random(n) < 0.5
+    if dtype is np.float64:
+        return rng.random(n)
+    return rng.integers(-(2**40), 2**40, size=n, dtype=np.int64)
+
+
+class TestSourceValues:
+    """``source_values`` == the gather idiom for every selection that
+    :func:`select_arcs` can produce, with no m-long temporary."""
+
+    @given(
+        payload_graph(),
+        st.data(),
+        st.sampled_from([SPARSE, DENSE]),
+        st.sampled_from([np.int64, np.float64, np.bool_]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_gather_idiom(self, g, data, mode, dtype):
+        n = g.num_vertices
+        # Any sender set, zero-degree vertices included; "everyone"
+        # often enough that the slice form is exercised.
+        if data.draw(st.booleans(), label="everyone"):
+            senders = np.arange(n, dtype=np.int64)
+        else:
+            picked = data.draw(st.sets(st.integers(0, n - 1)), label="senders")
+            senders = np.asarray(sorted(picked), dtype=np.int64)
+        per_vertex = per_vertex_array(n, dtype, seed=n + senders.size)
+        selection = select_arcs(senders, g.row_ptr, mode)
+        got = source_values(g, per_vertex, selection)
+        expected = gather_idiom(g, per_vertex, selection)
+        assert got.dtype == expected.dtype == dtype
+        assert np.array_equal(got, expected)
+        assert got.size == selected_arc_count(selection)
+
+    @pytest.mark.parametrize("form", ["full", "dense", "sparse"])
+    def test_every_form_is_reached(self, form):
+        g = rmat(scale=7, edge_factor=8, seed=3)
+        senders = np.arange(0 if form == "full" else 1, g.num_vertices)
+        mode = SPARSE if form == "sparse" else DENSE
+        selection = select_arcs(senders, g.row_ptr, mode)
+        assert isinstance(selection, slice) == (form == "full")
+        if form != "full":
+            assert (selection.dtype == bool) == (form == "dense")
+        labels = np.arange(g.num_vertices, dtype=np.int64)[::-1].copy()
+        assert np.array_equal(
+            source_values(g, labels, selection), gather_idiom(g, labels, selection)
+        )
+
+    def test_a_dense_selection_is_whole_rows(self):
+        """The invariant the mask branch rests on: ``arcs_from`` selects
+        each row entirely or not at all."""
+        g = rmat(scale=7, edge_factor=8, seed=3)
+        rng = np.random.default_rng(11)
+        for size in (1, 5, g.num_vertices // 2, g.num_vertices - 1):
+            senders = np.sort(rng.choice(g.num_vertices, size=size, replace=False))
+            mask = arcs_from(senders, g.row_ptr)
+            nonempty = g.degrees() > 0
+            per_row = np.add.reduceat(mask, g.row_ptr[:-1][nonempty])
+            assert np.all((per_row == 0) | (per_row == g.degrees()[nonempty]))
+
+    def test_a_mask_splitting_a_row_is_outside_the_contract(self):
+        """Documented, not rejected: a row goes whole or not at all, by
+        the mask's value at its first arc."""
+        g = from_edge_list([(0, 1), (0, 2), (1, 2), (2, 0)], 3, directed=True)
+        values = np.asarray([10, 20, 30], dtype=np.int64)
+        first_arc_only = np.asarray([True, False, False, False])
+        assert source_values(g, values, first_arc_only).tolist() == [10, 10]
+        second_arc_only = np.asarray([False, True, False, False])
+        assert source_values(g, values, second_arc_only).tolist() == []
+
+    def test_mask_flood_builds_no_arc_long_temporary(self):
+        """Structural pin, not a time: the payload of a mask flood is
+        the only arc-sized allocation (the gather idiom peaks at 2.0x:
+        the compressed ``arc_sources`` beside the result)."""
+        g = rmat(scale=12, edge_factor=16, seed=1)
+        senders = np.flatnonzero(np.arange(g.num_vertices) % 5 != 0)
+        mask = select_arcs(senders, g.row_ptr, DENSE)
+        assert mask.dtype == bool
+        program = DenseConnectedComponents()
+        values = program.initial_values(g)
+        program.arc_payload(g, values, mask)  # warm the graph's caches
+        tracemalloc.start()
+        try:
+            payload = program.arc_payload(g, values, mask)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(payload, gather_idiom(g, values, mask))
+        assert peak < 1.5 * payload.nbytes, peak / payload.nbytes
 
 
 # -- representation independence -------------------------------------------
