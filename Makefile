@@ -9,7 +9,7 @@ test:
 	pytest tests/
 
 bench:
-	pytest benchmarks/ --benchmark-only
+	python3 perf/run.py --smoke
 
 experiments:
 	python -m repro.cli all
@@ -18,5 +18,5 @@ examples:
 	@for f in examples/*.py; do echo "== $$f"; python $$f || exit 1; done
 
 clean:
-	rm -rf build dist src/*.egg-info .pytest_cache .benchmarks
+	rm -rf build dist src/*.egg-info .pytest_cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

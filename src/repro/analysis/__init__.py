@@ -3,8 +3,10 @@
 Each ``run_figN`` / ``run_table1`` function builds the workload, executes
 both programming models, prices the resulting work traces on the XMT
 machine model across the processor sweep, and returns a result object
-that both the benchmarks and the CLI render.  See DESIGN.md §4 for the
-experiment-to-module index.
+that the CLI renders and :mod:`~repro.analysis.verification` grades.
+The ablations beyond the paper are ``run_<name>`` functions in
+:mod:`repro.analysis.ablations`, imported only when one runs.  See
+DESIGN.md §4 for the experiment-to-module index.
 """
 
 from repro.analysis.experiments import (

@@ -4,9 +4,9 @@ EXPERIMENTS.md grades the reproduction against the paper's qualitative
 and quantitative claims; this module makes that grading *runnable*:
 every claim is a :class:`Criterion` with a check function over the
 experiment results, and :func:`verify_all` evaluates the whole list —
-``python -m repro.cli verify`` prints the scorecard.  The benchmark
-suite asserts the same predicates; this is the one-shot human-readable
-version.
+``python -m repro.cli verify`` prints the scorecard, and the test
+suite pins its scale-14 rendering to ``results/verify_scale14.txt``
+byte for byte.
 """
 
 from __future__ import annotations

@@ -1,80 +1,21 @@
-"""Benchmark history: ledger, statistical baselines, regression gating.
+"""Benchmark provenance shared by ``perf/`` and ``repro version``.
 
-The benchmarks under ``benchmarks/`` emit schema-versioned
-``BENCH_<name>.json`` payloads; this package turns those write-only
-artifacts into a queryable performance history with automated
-regression detection:
-
-* :mod:`~repro.bench.ledger` — append-only JSONL store under
-  ``results/history/`` where every record carries run provenance (git
-  SHA, branch, UTC timestamp, machine fingerprint, package version);
-* :mod:`~repro.bench.baseline` — per-metric rolling baselines (median +
-  MAD over the last K comparable runs), with metrics classified as
-  noisy wall-clock measurements, deterministic model counters, or
-  ungated environment facts;
-* :mod:`~repro.bench.gate` — ok/improved/regressed/new verdicts per
-  metric, exact-match gating for deterministic counters, noise-aware
-  threshold gating for measurements;
-* :mod:`~repro.bench.render` — ASCII trend tables, sparklines, gate
-  summaries, run diffs;
-* :mod:`~repro.bench.cli` — the ``repro bench record|report|compare|
-  gate`` subcommands (``gate`` exits nonzero on regression, which is
-  what CI enforces).
-
-See ``docs/BENCHMARKS.md`` for the schema, the baseline math, and
-usage.
+The repository's one benchmark harness is ``perf/run.py`` (workloads
+declared in ``BENCHMARK.json``, see ``perf/README.md``); it stamps each
+``BENCH_e2e_<workload>.json`` payload through
+:mod:`~repro.bench.ledger`.
 """
 
-from repro.bench.baseline import (
-    Baseline,
-    classify_metric,
-    comparable_records,
-    compute_baseline,
-    flatten_metrics,
-    higher_is_better,
-)
-from repro.bench.gate import (
-    GateReport,
-    MetricVerdict,
-    evaluate_record,
-    gate_ledger,
-)
 from repro.bench.ledger import (
-    LEDGER_SCHEMA_VERSION,
-    Ledger,
-    Record,
     collect_provenance,
     fingerprint_of,
     package_version,
     sanitize,
 )
-from repro.bench.render import (
-    compare_table,
-    format_gate_reports,
-    sparkline,
-    trend_table,
-)
 
 __all__ = [
-    "LEDGER_SCHEMA_VERSION",
-    "Baseline",
-    "GateReport",
-    "Ledger",
-    "MetricVerdict",
-    "Record",
-    "classify_metric",
     "collect_provenance",
-    "comparable_records",
-    "compare_table",
-    "compute_baseline",
-    "evaluate_record",
     "fingerprint_of",
-    "flatten_metrics",
-    "format_gate_reports",
-    "gate_ledger",
-    "higher_is_better",
     "package_version",
     "sanitize",
-    "sparkline",
-    "trend_table",
 ]

@@ -1,55 +1,29 @@
-"""Append-only benchmark history: the JSONL ledger and run provenance.
+"""Run provenance for benchmark payloads.
 
-``benchmarks/_emit.py`` writes one ``BENCH_<name>.json`` per benchmark
-run; those files are overwritten on every run and were historically
-write-only.  The ledger turns them into a durable, queryable history:
-one append-only JSONL file per benchmark under ``results/history/``
-(override with ``REPRO_HISTORY_DIR``), where each line is a full BENCH
-payload plus **provenance** — git SHA and branch, UTC timestamp, host
-fingerprint (hostname / CPU count / platform / Python), and the package
-version — so every number in the history can be traced to an exact
-source tree and machine.
-
-The fingerprint matters for the statistics downstream
-(:mod:`repro.bench.baseline`): wall-clock baselines are only comparable
-between runs on the same machine, while deterministic model counters
-(modeled cycles, message counts, superstep counts) must match across
-*all* machines.
+``perf/run.py`` stamps every ``results/bench/BENCH_e2e_<workload>.json``
+with :func:`collect_provenance` — git SHA and branch, UTC timestamp,
+host fingerprint (hostname / CPU count / platform / Python) and the
+package version — and writes it through :func:`sanitize`, so every
+number can be traced to an exact source tree and machine.
+``repro version`` prints :func:`package_version`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import platform
 import socket
 import subprocess
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 __all__ = [
-    "LEDGER_SCHEMA_VERSION",
-    "Ledger",
-    "Record",
     "collect_provenance",
     "fingerprint_of",
-    "history_dir",
     "package_version",
     "sanitize",
 ]
-
-#: Version of the ledger record layout (a superset of the BENCH payload).
-LEDGER_SCHEMA_VERSION = 2
-
-#: Default ledger location, relative to the working directory.
-DEFAULT_HISTORY_DIR = os.path.join("results", "history")
-
-
-def history_dir(path: str | None = None) -> str:
-    """Resolve the ledger directory: explicit arg, env var, default."""
-    return path or os.environ.get("REPRO_HISTORY_DIR", DEFAULT_HISTORY_DIR)
 
 
 def package_version() -> str:
@@ -91,8 +65,8 @@ def fingerprint_of(
 def collect_provenance(repo_dir: str | None = None) -> dict:
     """Describe where and when a benchmark run happened.
 
-    Returns git SHA/branch/dirty flag (``None`` outside a checkout), a
-    UTC timestamp, the host identity, and the derived ``fingerprint``
+    Returns the git SHA and branch of ``repo_dir`` (``None`` outside a
+    checkout) and whether its tree is dirty, a UTC timestamp, the host identity, and the derived ``fingerprint``
     used to group statistically comparable runs.
     """
     hostname = socket.gethostname()
@@ -118,7 +92,7 @@ def sanitize(obj):
     """Strict-JSON copy of ``obj``: non-finite floats become ``None``.
 
     ``json.dump`` happily writes ``NaN``/``Infinity`` tokens that no
-    strict parser accepts; the ledger must never contain them.
+    strict parser accepts; a benchmark payload must never contain them.
     """
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
@@ -127,135 +101,3 @@ def sanitize(obj):
     if isinstance(obj, (list, tuple)):
         return [sanitize(v) for v in obj]
     return obj
-
-
-@dataclass(frozen=True)
-class Record:
-    """One ledger line: a BENCH payload with provenance attached."""
-
-    benchmark: str
-    config: dict
-    data: dict
-    provenance: dict
-    schema_version: int = LEDGER_SCHEMA_VERSION
-
-    @property
-    def fingerprint(self) -> str | None:
-        """Machine fingerprint the run was measured on."""
-        return self.provenance.get("fingerprint")
-
-    @property
-    def git_sha(self) -> str | None:
-        """Commit the run was measured at."""
-        return self.provenance.get("git_sha")
-
-    def to_json(self) -> dict:
-        """JSON-serializable dictionary form (sanitized)."""
-        return sanitize(
-            {
-                "schema_version": self.schema_version,
-                "benchmark": self.benchmark,
-                "config": self.config,
-                "data": self.data,
-                "provenance": self.provenance,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "Record":
-        """Build a record from a parsed ledger line or BENCH payload.
-
-        A v2 payload's top-level ``memory`` block (peak RSS of the
-        emitting process) folds into ``data`` under the ``"memory"``
-        key, so memory regressions are baselined and gated alongside
-        every other metric.
-        """
-        data = dict(doc.get("data") or {})
-        memory = doc.get("memory")
-        if memory and "memory" not in data:
-            data["memory"] = dict(memory)
-        return cls(
-            benchmark=str(doc.get("benchmark", "")),
-            config=dict(doc.get("config") or {}),
-            data=data,
-            provenance=dict(doc.get("provenance") or {}),
-            schema_version=int(
-                doc.get("schema_version", LEDGER_SCHEMA_VERSION)
-            ),
-        )
-
-
-class Ledger:
-    """Append-only JSONL store of benchmark runs, one file per benchmark.
-
-    ``results/history/<benchmark>.jsonl`` holds that benchmark's runs in
-    recording order; reading never mutates, writing only appends — the
-    ledger is the durable record the overwritten ``BENCH_*.json``
-    artifacts feed into.
-    """
-
-    def __init__(self, root: str | None = None) -> None:
-        self.root = history_dir(root)
-
-    def path(self, benchmark: str) -> str:
-        """Ledger file for one benchmark."""
-        safe = benchmark.replace(os.sep, "_")
-        return os.path.join(self.root, f"{safe}.jsonl")
-
-    def benchmarks(self) -> list[str]:
-        """Sorted benchmark names with at least one recorded run."""
-        if not os.path.isdir(self.root):
-            return []
-        return sorted(
-            name[: -len(".jsonl")]
-            for name in os.listdir(self.root)
-            if name.endswith(".jsonl")
-        )
-
-    def records(self, benchmark: str) -> list[Record]:
-        """All runs of one benchmark, oldest first."""
-        path = self.path(benchmark)
-        if not os.path.exists(path):
-            return []
-        out = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    out.append(Record.from_json(json.loads(line)))
-        return out
-
-    def append(self, record: Record | dict) -> Record:
-        """Append one run; stamps provenance when the payload has none."""
-        if isinstance(record, dict):
-            record = Record.from_json(record)
-        if not record.benchmark:
-            raise ValueError("record must carry a benchmark name")
-        if not record.provenance:
-            record = Record(
-                benchmark=record.benchmark,
-                config=record.config,
-                data=record.data,
-                provenance=collect_provenance(),
-                schema_version=record.schema_version,
-            )
-        path = self.path(record.benchmark)
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "a", encoding="utf-8") as fh:
-            json.dump(
-                record.to_json(),
-                fh,
-                separators=(",", ":"),
-                allow_nan=False,
-            )
-            fh.write("\n")
-        return record
-
-    def record_payload(self, payload: dict) -> Record:
-        """Ingest one parsed ``BENCH_<name>.json`` payload."""
-        return self.append(Record.from_json(payload))
-
-    def record_file(self, path: str) -> Record:
-        """Ingest one ``BENCH_<name>.json`` file."""
-        with open(path, "r", encoding="utf-8") as fh:
-            return self.record_payload(json.load(fh))

@@ -4,8 +4,8 @@ Pregel lets the runtime fold messages aimed at the same vertex into one
 when the program only consumes a reduction of them (min label, summed
 rank...).  The paper's runtime does *not* combine — every message is
 materialized, which is precisely where the BSP write blow-up comes from —
-so combiners are off by default here; the combiner ablation bench
-(`bench_ablation_combiner`) measures what the paper's numbers would look
+so combiners are off by default here; the combiner ablation
+(`repro ablation-combiner`) measures what the paper's numbers would look
 like with them on.
 """
 

@@ -266,8 +266,8 @@ class DenseBSPEngine:
     constructor shape, same ``run`` signature, same
     :class:`~repro.bsp.engine.BSPResult`, same checkpoint/resume
     contract — but executes supersteps as vectorized array kernels, which
-    is orders of magnitude faster on reproduction-scale graphs (see
-    ``benchmarks/bench_engine_modes.py``).
+    is orders of magnitude faster on reproduction-scale graphs (compare
+    ``repro profile --engine reference`` with ``--engine dense``).
 
     Parameters
     ----------

@@ -10,9 +10,9 @@ Renders each of the paper's experiments as ASCII tables::
     python -m repro.cli anecdotes         # distributed-system anecdotes
     python -m repro.cli graph500          # validated batch BFS + TEPS
     python -m repro.cli verify            # executable claim scorecard
-    python -m repro.cli all               # everything
+    python -m repro.cli all               # fig1..fig4, table1, anecdotes
+    python -m repro.cli ablation-combiner # one of EXPERIMENTS.md's ablations
     python -m repro.cli profile ...       # wall-clock telemetry profiling
-    python -m repro.cli bench ...         # benchmark history + regression gate
     python -m repro.cli serve ...         # long-lived graph-analytics server
     python -m repro.cli check ...         # BSP program linter / contracts
     python -m repro.cli top ...           # live per-worker engine view
@@ -20,9 +20,7 @@ Renders each of the paper's experiments as ASCII tables::
 
 ``profile`` is its own subcommand (see :mod:`repro.telemetry.profile`):
 it runs one algorithm with telemetry enabled and writes a Chrome trace
-plus a measured-vs-modeled report.  ``bench`` (see :mod:`repro.bench.cli`)
-records benchmark runs into the append-only history ledger, renders
-trends, and gates regressions.  ``serve`` (see :mod:`repro.service.cli`)
+plus a measured-vs-modeled report.  ``serve`` (see :mod:`repro.service.cli`)
 loads one graph into the sharded engine's shared-memory CSR and serves
 algorithm jobs over HTTP — submit, poll, fetch results / telemetry /
 traces.  ``check`` (see :mod:`repro.check.cli`) statically lints vertex
@@ -31,8 +29,13 @@ contracts.  ``top`` (see :mod:`repro.telemetry.top`) attaches to a live
 sharded engine — via its flight-recorder beacon or a ``repro serve``
 URL — and renders per-worker phase/progress/rss like ``top(1)``.
 ``version`` (also ``--version``) prints the installed
-package version, so ledger provenance and bug reports can cite an exact
-release.
+package version, so benchmark provenance and bug reports can cite an
+exact release.
+
+The experiments are one table, :data:`EXPERIMENTS`, from name to
+renderer.  Each ``ablation-<name>`` prints the dictionary returned by
+``run_<name>`` in :mod:`repro.analysis.ablations`, which is imported
+only when an ablation runs.
 
 Options: ``--scale N`` (default 14), ``--seed S``, ``--paper-scale``
 (render the processor sweeps with work extrapolated to the paper's
@@ -253,6 +256,47 @@ def _anecdotes(config: ExperimentConfig) -> str:
     return "\n".join(lines)
 
 
+def _ablation(name: str):
+    """Renderer printing ``repro.analysis.ablations.run_<name>``."""
+
+    def render(config: ExperimentConfig, args: argparse.Namespace) -> str:
+        from repro.analysis import ablations
+
+        run = getattr(ablations, f"run_{name}")
+        title = f"Ablation: {run.__doc__.splitlines()[0]}"
+        result = json.dumps(run(config), indent=2)
+        return f"{title}\n{'=' * len(title)}\n{result}"
+
+    return render
+
+
+#: The ablations of EXPERIMENTS.md, each ``ablation-<name>`` below.
+ABLATIONS = (
+    "hotspot", "combiner", "degree_ordering", "scale_sweep",
+    "queue_design", "partitioning", "streaming_clustering",
+    "triangle_density",
+)
+
+#: ``repro <name>`` → renderer of ``(config, args)``.
+EXPERIMENTS = {
+    "fig1": lambda config, args: _fig1(config, args.paper_scale, args.chart),
+    "fig2": lambda config, args: _fig2(config, args.chart),
+    "fig3": lambda config, args: _fig3(config, args.paper_scale),
+    "fig4": lambda config, args: _fig4(config, args.paper_scale, args.chart),
+    "table1": lambda config, args: _table1(config, args.paper_scale),
+    "anecdotes": lambda config, args: _anecdotes(config),
+    "graph500": lambda config, args: _graph500(config),
+    "verify": lambda config, args: _verify(config),
+    **{
+        f"ablation-{name.replace('_', '-')}": _ablation(name)
+        for name in ABLATIONS
+    },
+}
+
+#: What ``repro all`` prints, in this order.
+ALL = ("fig1", "fig2", "fig3", "fig4", "table1", "anecdotes")
+
+
 def collect_results(config: ExperimentConfig) -> dict:
     """All experiments as one JSON-serializable dictionary.
 
@@ -337,10 +381,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.telemetry.profile import main as profile_main
 
         return profile_main(argv[1:])
-    if argv and argv[0] == "bench":
-        from repro.bench.cli import main as bench_main
-
-        return bench_main(argv[1:])
     if argv and argv[0] == "serve":
         from repro.service.cli import main as serve_main
 
@@ -362,13 +402,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="repro",
         description="Reproduce the paper's figures and table.",
     )
-    parser.add_argument(
-        "experiment",
-        choices=[
-            "fig1", "fig2", "fig3", "fig4", "table1", "anecdotes",
-            "graph500", "verify", "all",
-        ],
-    )
+    parser.add_argument("experiment", choices=[*EXPERIMENTS, "all"])
     parser.add_argument("--scale", type=int, default=14)
     parser.add_argument("--edge-factor", type=int, default=16)
     parser.add_argument("--seed", type=int, default=1)
@@ -398,23 +432,8 @@ def main(argv: list[str] | None = None) -> int:
             fh.write(payload + "\n")
         print(f"wrote {args.json}")
 
-    sections = []
-    if args.experiment in ("fig1", "all"):
-        sections.append(_fig1(config, args.paper_scale, args.chart))
-    if args.experiment in ("fig2", "all"):
-        sections.append(_fig2(config, args.chart))
-    if args.experiment in ("fig3", "all"):
-        sections.append(_fig3(config, args.paper_scale))
-    if args.experiment in ("fig4", "all"):
-        sections.append(_fig4(config, args.paper_scale, args.chart))
-    if args.experiment in ("table1", "all"):
-        sections.append(_table1(config, args.paper_scale))
-    if args.experiment in ("anecdotes", "all"):
-        sections.append(_anecdotes(config))
-    if args.experiment == "graph500":
-        sections.append(_graph500(config))
-    if args.experiment == "verify":
-        sections.append(_verify(config))
+    names = ALL if args.experiment == "all" else (args.experiment,)
+    sections = [EXPERIMENTS[name](config, args) for name in names]
     print(("\n\n" + "~" * 72 + "\n\n").join(sections))
     return 0
 

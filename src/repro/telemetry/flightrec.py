@@ -23,8 +23,8 @@ Design constraints, in order:
   and overwrites the oldest; recording can never grow memory or block.
 * **Cheap enough to be default-on** — one record is two ``struct.pack``
   calls and a CRC over 44 bytes (~1-2 µs); a superstep writes a handful
-  of records per worker, so the measured overhead on
-  ``bench_parallel_scaling`` stays under the 2 % budget.
+  of records per worker (an A/B against ``flight_recorder=False``
+  prices it; docs/OBSERVABILITY.md).
 
 On top of the rings sit:
 

@@ -176,6 +176,24 @@ class TestModelComparison:
             bsp = bsp_label_propagation_communities(g)
             assert abs(shm.modularity - bsp.modularity) < 0.25
 
+    def test_bsp_needs_more_rounds_and_simulated_time(
+        self, planted_partition
+    ):
+        """Both models recover the blocks; BSP's stale labels cost
+        rounds and simulated time, as with connected components."""
+        from repro.xmt.cost_model import simulate
+        from repro.xmt.machine import XMTMachine
+
+        shm = label_propagation_communities(planted_partition)
+        bsp = bsp_label_propagation_communities(planted_partition)
+        assert shm.modularity > 0.4 and bsp.modularity > 0.4
+        assert bsp.num_supersteps >= shm.num_iterations
+        machine = XMTMachine(num_processors=128)
+        assert (
+            simulate(bsp.trace, machine).total_seconds
+            > simulate(shm.trace, machine).total_seconds
+        )
+
     def test_graphct_workflow_dispatch(self, two_cliques):
         from repro.graphct import GraphCT
 

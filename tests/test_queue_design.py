@@ -95,7 +95,7 @@ class TestScalingConsequences:
     def test_single_tail_flattens_scaling(self, bsp_trace):
         scaled = {
             d: with_queue_design(bsp_trace, d, DEFAULT_COSTS).scaled(1024)
-            for d in ("single-tail", "per-vertex")
+            for d in QUEUE_DESIGNS
         }
         speedup = {}
         for d, t in scaled.items():
@@ -104,6 +104,7 @@ class TestScalingConsequences:
             speedup[d] = t8 / t128
         assert speedup["single-tail"] < 2.5
         assert speedup["per-vertex"] > 8
+        assert speedup["chunked"] > 8
 
     def test_single_tail_slower_at_full_machine(self, bsp_trace):
         m = XMTMachine(num_processors=128)

@@ -144,10 +144,12 @@ class TestGraph500Harness:
         assert res.num_searches == 4
         assert len(res.teps["graphct"]) == 4
         assert len(res.edges_traversed) == 4
-        # The shared-memory model posts higher TEPS (paper Table I).
-        assert res.harmonic_mean_teps("graphct") > res.harmonic_mean_teps(
+        # The shared-memory model posts higher TEPS (paper Table I),
+        # within the paper's factor-of-~10 band.
+        ratio = res.harmonic_mean_teps("graphct") / res.harmonic_mean_teps(
             "bsp"
         )
+        assert 1.5 <= ratio <= 20.0
 
     def test_validates_every_search(self):
         # Would raise BFSValidationError if any search were invalid.

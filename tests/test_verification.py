@@ -1,5 +1,7 @@
 """Tests for the executable claim scorecard."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.verification import (
@@ -68,3 +70,15 @@ def test_cli_verify_subcommand(capsys):
     out = capsys.readouterr().out
     assert "Verification scorecard" in out
     assert "criteria passed" in out
+
+
+def test_scorecard_matches_committed_file(capsys):
+    """``repro verify`` at scale 14 is the committed scorecard, byte for
+    byte: a change that moves any criterion's number fails here."""
+    from repro.cli import main
+
+    committed = Path(__file__).resolve().parents[1] / "results"
+    expected = (committed / "verify_scale14.txt").read_bytes()
+    assert main(["verify", "--scale", "14", "--edge-factor", "16",
+                 "--seed", "1"]) == 0
+    assert capsys.readouterr().out.encode() == expected
