@@ -1,11 +1,13 @@
 """The sharded engine's worker protocol: its frames and its failures.
 
 Every parent↔worker message crosses an OS pipe as one fixed binary
-frame: a one-byte command code, a little-endian struct header, and the
+frame: a one-byte command code, a little-endian struct header, and any
 sender ids as raw ``tobytes`` payload — decoded with ``np.frombuffer``
-on the other side.  Sender sets are always transmitted as sparse vertex
-ids (never per-vertex masks), so frame size tracks the frontier, not
-the graph.  ``send`` / ``recv`` return the exact frame size; the
+on the other side.  The sharded engine sends none: a scatter's senders
+are in the shared ``senders`` bitmap and a gather's were cached at the
+scatter, so its scatter and gather frames are a fixed 18 bytes however
+large the frontier or the graph.  The id field stays for the codec's
+other callers.  ``send`` / ``recv`` return the exact frame size; the
 engine's ``pipe_bytes`` total and the per-superstep ``pipe_bytes``
 telemetry counter are built on those counts.
 
@@ -17,9 +19,9 @@ Frames (sizes are pinned by ``tests/test_frontier.py``):
 * ``("scatter", generation, senders, mode)`` /
   ``("gather", generation, senders, mode)`` — per superstep; ``senders``
   is an int64 id array, ``mode`` a :mod:`repro.bsp.frontier` name:
-  ``18 + 8·len(senders)`` bytes.  A gather frame's array is empty: the
-  worker delivers the selection it cached at the scatter of the same
-  ``generation``.
+  ``18 + 8·len(senders)`` bytes.  The engine's arrays are empty: a
+  scatter reads the ``senders`` bitmap, and a gather delivers the
+  selection the worker cached at the scatter of the same ``generation``.
 * ``("close",)`` — one byte.
 * ``("ok", *ints)`` — worker replies, ``2 + 8·len(ints)`` bytes; built
   by :func:`ok_reply` and read through :class:`OkReply`.

@@ -1,13 +1,14 @@
 """The child side of the sharded engine: one shard worker process.
 
 A worker owns one vertex shard and its out-arcs (its graph is the shard's
-sub-CSR) — the parent only ever sends it the senders that live there —
-and serves one task per frame (:mod:`repro.bsp._wire`) until told to close:
+sub-CSR) and serves one task per frame (:mod:`repro.bsp._wire`) until
+told to close:
 
 * ``run`` attaches the run's shared blocks (values, this worker's slice
   of the per-destination output, and in check mode its shadow slice);
-* ``scatter`` selects the shard's out-arcs for a sender set, publishes
-  their per-destination histogram and keeps the selection warm;
+* ``scatter`` reads the shard's senders off the shared ``senders``
+  bitmap the parent marked, selects their out-arcs, publishes the
+  per-destination histogram and keeps the selection warm;
 * ``gather`` delivers that cached selection: payload hook, then the
   combiner fold into this worker's output slice.
 
@@ -91,6 +92,14 @@ class _Shard:
         self.hist_out = self._view(
             self._static, spec["hist"], n, np.int64, row=w
         )
+        # The parent's sender bitmap, read-only here: a worker must not
+        # corrupt the next superstep's selection.  Other workers' rows are
+        # empty in this sub-CSR, so a marked vertex with out-arcs is ours.
+        self.senders = self._view(
+            self._static, spec["senders"], n, np.bool_
+        )
+        self.senders.setflags(write=False)
+        self.owned = self.graph.degrees() > 0
         # Set by run() / scatter(); the parent always sends those first.
         self.program: Any = None
         self.values: Any = None
@@ -148,9 +157,10 @@ class _Shard:
         self.sel = self.dst = None
         self.generation = -1
 
-    def scatter(self, generation: int, senders: np.ndarray, mode: str) -> int:
+    def scatter(self, generation: int, mode: str) -> int:
         graph = self.graph
         self.generation = generation
+        senders = np.flatnonzero(self.senders & self.owned)
         self.sel = select_arcs(senders, graph.row_ptr, mode)
         self.dst = graph.col_idx[self.sel]
         if isinstance(self.sel, slice):  # the whole shard: nothing to count
@@ -239,7 +249,8 @@ def worker_main(conn: "Connection", spec: dict) -> None:
                 if cmd == "run":
                     shard.run(*msg[1:])
                 elif cmd == "scatter":
-                    arcs = shard.scatter(*msg[1:])
+                    # msg[2] is the codec's id field, empty from the engine.
+                    arcs = shard.scatter(msg[1], msg[3])
                 elif cmd == "gather":
                     arcs = shard.gather(msg[1])
                 else:

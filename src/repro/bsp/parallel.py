@@ -19,11 +19,12 @@ Design:
   shared too: the parent's ``compute`` updates reach workers with no copy.
 * **Vertex partitioning** — vertices are assigned to workers with the
   cluster placement policies (:func:`~repro.cluster.partition.hash_partition`
-  or :func:`~repro.cluster.partition.balanced_edge_partition`); a
-  superstep's sender set is split along that assignment and each worker
-  floods only its shard's out-arcs, using the frontier-adaptive arc
+  or :func:`~repro.cluster.partition.balanced_edge_partition`); the
+  parent marks a fanned-out superstep's sender set in one shared n-byte
+  ``senders`` bitmap, and each worker reads its own shard's senders off
+  it and floods only their out-arcs, using the frontier-adaptive arc
   selection (:mod:`repro.bsp.frontier`) the parent chose for the
-  superstep.
+  superstep.  The parent never splits the set.
 * **Combiner merge at the barrier** — each worker folds its shard's
   messages into a private per-destination array; the parent merges the
   per-worker arrays with the program's combiner (``np.minimum`` /
@@ -37,12 +38,12 @@ Design:
   Delivery is lazy (see :meth:`DenseBSPEngine._gather`): the gather
   exchange and combine only run if the program reads ``ctx.messages``,
   so message-free supersteps cost one pipe round-trip, not two.
-* **Persistent pool, byte-packed pipes** — workers live for the
+* **Persistent pool, fixed-size frames** — workers live for the
   engine's lifetime (:mod:`repro.bsp._worker`) and keep their shard's
   arc selection between the scatter accounting and the delivery at the
-  next barrier, so a superstep costs at most two round-trips of small
-  binary frames (:mod:`repro.bsp._wire`), counted in
-  :attr:`ShardedBSPEngine.pipe_bytes`.
+  next barrier, so a superstep costs at most two round-trips of 18-byte
+  binary frames (:mod:`repro.bsp._wire`) that carry no vertex ids,
+  counted in :attr:`ShardedBSPEngine.pipe_bytes`.
 * **Small supersteps stay in the parent** — a flood of at most
   :data:`_LOCAL_SUPERSTEP_ARCS` arcs (the flat tails of the paper's
   Fig. 2/3, most supersteps of a BFS or SSSP) is accounted and delivered
@@ -129,8 +130,9 @@ class ShardedWriteRaceError(RuntimeError):
 #: (measurements in docs/MODEL.md).
 _LOCAL_SUPERSTEP_ARCS = 1 << 14
 
-#: Gather frames name a generation, not senders: the worker delivers the
-#: selection it cached at the scatter exchange that always precedes.
+#: Scatter and gather frames name a generation, not senders: a scatter's
+#: senders are in the shared ``senders`` bitmap, and a gather delivers the
+#: selection the worker cached at the scatter exchange that always precedes.
 _NO_SENDERS = np.empty(0, dtype=np.int64)
 
 
@@ -294,7 +296,6 @@ class ShardedBSPEngine(DenseBSPEngine):
         self._run_blocks: list = []
         self._gathered: np.ndarray | None = None
         self._shadow: np.ndarray | None = None
-        self._shard_senders: list[np.ndarray] | None = None
         self._shard_mode: str | None = None
         self._participants: tuple[int, ...] = ()
         self._generation = 0
@@ -315,12 +316,16 @@ class ShardedBSPEngine(DenseBSPEngine):
                 else graph.weights[order],
                 # Row w: worker w's per-destination scatter histogram.
                 "hist": np.zeros((num_workers, n), dtype=np.int64),
+                # The fanned-out superstep's sender set, marked by the
+                # parent and read by every worker.
+                "senders": np.zeros(n, dtype=np.bool_),
             },
             recorder=self.flight_recorder,
             stall_timeout=stall_timeout,
             describe=self._describe(),
         )
         self._hist = self._pool.arrays["hist"]
+        self._senders = self._pool.arrays["senders"]
 
     pipe_bytes = _pool_view(
         "pipe_bytes", "Cumulative frame bytes on the worker pipes."
@@ -395,19 +400,6 @@ class ShardedBSPEngine(DenseBSPEngine):
         for shm in self._run_blocks:
             release_block(shm)
         self._run_blocks = []
-
-    def _split(self, vertices: np.ndarray) -> list[np.ndarray]:
-        """Partition a sorted vertex set along the machine assignment."""
-        owners = self.assignment[vertices]
-        return [
-            vertices[owners == w] for w in range(self.num_workers)
-        ]
-
-    def _merged_hist(self, participants: tuple[int, ...]) -> np.ndarray:
-        """Sum the participating workers' per-destination histograms."""
-        if not participants:
-            return np.zeros(self.graph.num_vertices, dtype=np.int64)
-        return self._hist[list(participants)].sum(axis=0)
 
     def _audit_write_sets(
         self,
@@ -511,7 +503,6 @@ class ShardedBSPEngine(DenseBSPEngine):
 
     def _scatter_reset(self) -> None:
         super()._scatter_reset()
-        self._shard_senders = None
         self._shard_mode = None
         self._participants = ()
 
@@ -533,43 +524,52 @@ class ShardedBSPEngine(DenseBSPEngine):
         return local
 
     def _fan_out(self, senders: np.ndarray, flood_arcs: int) -> np.ndarray:
-        """Scatter exchange: every shard selects and histograms its arcs."""
-        self._shard_senders = self._split(senders)
+        """Scatter exchange: every shard selects and histograms its arcs.
+
+        The sender set goes to the workers as the shared ``senders``
+        bitmap, marked here before any frame leaves: each worker reads
+        its own senders off it, so a scatter frame is 18 bytes however
+        many vertices send.  The parent only counts senders per shard to
+        know which workers take part.  A flood of every arc has the
+        graph's cached in-degrees as its histogram; any other flood's is
+        the sum of the participants' rows.
+        """
+        mask = self._senders
+        mask[:] = False
+        mask[senders] = True
+        counts = np.bincount(
+            self.assignment[senders], minlength=self.num_workers
+        )
         self._shard_mode = self._choose_mode(senders, flood_arcs)
         self._pending_sel = self._pending_dst = None
         self._pending_raw = flood_arcs
-        self._participants = tuple(
-            w for w, s in enumerate(self._shard_senders) if s.size
-        )
+        self._participants = tuple(np.flatnonzero(counts).tolist())
         self._generation += 1
         if self.telemetry.enabled:
-            for w, shard in enumerate(self._shard_senders):
+            for w, count in enumerate(counts.tolist()):
                 self.telemetry.counter(
                     "shard_senders",
-                    int(shard.size),
+                    count,
                     track=worker_track(w),
                     superstep=self._tel_superstep,
                 )
         self._exchange(
             {
-                w: (
-                    "scatter",
-                    self._generation,
-                    self._shard_senders[w],
-                    self._shard_mode,
-                )
+                w: ("scatter", self._generation, _NO_SENDERS, self._shard_mode)
                 for w in self._participants
             },
             phase="scatter",
         )
-        return self._merged_hist(self._participants)
+        if flood_arcs == self.graph.num_arcs:
+            return self.graph.in_degrees()
+        return self._hist[list(self._participants)].sum(axis=0)
 
     def _scatter(
         self, program: DenseVertexProgram, new_senders: np.ndarray
     ) -> tuple[int, np.ndarray | None]:
         sent_raw = self._flood_arcs(new_senders)
         if self._runs_locally(sent_raw):
-            self._shard_senders = None
+            self._shard_mode = None
             return super()._scatter(program, new_senders)
         return sent_raw, self._fan_out(new_senders, sent_raw)
 
@@ -579,12 +579,12 @@ class ShardedBSPEngine(DenseBSPEngine):
         senders: np.ndarray,
         identity: Any,
     ) -> tuple[Callable[[], np.ndarray], np.ndarray, int]:
-        if self._shard_senders is None and self._pending_sel is None:
+        if self._shard_mode is None and self._pending_sel is None:
             # Resumed run (or zero-arc senders): no prior scatter.
             raw = self._flood_arcs(senders)
             if not self._runs_locally(raw):
                 self._pending_hist = self._fan_out(senders, raw)
-        if self._shard_senders is None:
+        if self._shard_mode is None:
             return super()._gather(program, senders, identity)
         n = self.graph.num_vertices
         mdtype = np.dtype(program.message_dtype)
@@ -660,7 +660,7 @@ class ShardedBSPEngine(DenseBSPEngine):
             if self._closed:
                 return
             self._closed = True
-            self._hist = None
+            self._hist = self._senders = None
             self._pool.close()
             # Detach the engine's state from shared memory before
             # unlinking so `engine.values` stays readable after close().

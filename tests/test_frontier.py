@@ -12,9 +12,9 @@ Three contracts from the frontier work:
   filters the engine's receiver set) yet matches the reference engine
   on directed and undirected inputs, and ``frontier_sizes`` reports the
   true per-level discoveries.
-* **Wire framing** — the sharded engine's byte-packed frames have the
-  sizes ``repro.bsp._wire`` documents, and ``pipe_bytes`` is exactly
-  their sum over the exchanges a run made.
+* **Wire framing** — the sharded engine's frames have the sizes
+  ``repro.bsp._wire`` documents, ``pipe_bytes`` is exactly their sum
+  over the exchanges a run made, and it does not grow with the graph.
 """
 
 import tracemalloc
@@ -29,6 +29,7 @@ from repro.bsp import (
     DenseBSPEngine,
     FrontierPolicy,
     ShardedBSPEngine,
+    SumAggregator,
 )
 from repro.bsp import parallel
 from repro.bsp._scatter import arcs_from
@@ -49,6 +50,7 @@ from repro.bsp_algorithms import (
     DenseBreadthFirstSearch,
     DenseConnectedComponents,
     DenseKCore,
+    DensePageRank,
     DenseShortestPaths,
 )
 from repro.bsp_algorithms.bfs import UNREACHED
@@ -570,8 +572,9 @@ class TestWireFraming:
     ):
         """``pipe_bytes`` after one fanned-out run: the run frames, and
         per recorded barrier one task frame and one reply per
-        participant — a scatter frame carries the shard's sender ids, a
-        gather frame none."""
+        participant.  Neither frame carries sender ids (a scatter's
+        senders are in the shared bitmap), so every one is 18 bytes
+        however many of the shard's vertices send."""
         dense = DenseBSPEngine(medium_graph).run(make_program())
         tel = Telemetry("pins")
         with ShardedBSPEngine(medium_graph, num_workers=2) as engine:
@@ -594,9 +597,22 @@ class TestWireFraming:
             if span.args["phase"] == "scatter":
                 shards = [k for k in senders[span.superstep] if k]
                 assert len(shards) == span.args["workers"]
-                expected += sum(
-                    18 + 8 * k + TASK_REPLY_BYTES for k in shards
-                )
-            else:
-                expected += span.args["workers"] * (18 + TASK_REPLY_BYTES)
+            expected += span.args["workers"] * (18 + TASK_REPLY_BYTES)
         assert barriers and fanned_out == expected
+
+    @pytest.mark.usefixtures("fan_out_every_superstep")
+    def test_pipe_bytes_are_independent_of_scale(self):
+        """Frames carry no vertex ids, so a fanned-out PageRank run puts
+        the same bytes on the pipes at 4x the vertices: a count, not a
+        timing."""
+        totals = []
+        for scale in (8, 10):
+            graph = rmat(scale=scale, edge_factor=8, seed=7)
+            with ShardedBSPEngine(
+                graph,
+                num_workers=2,
+                aggregators={"dangling": SumAggregator()},
+            ) as engine:
+                result = engine.run(DensePageRank(num_supersteps=8))
+                totals.append((result.num_supersteps, engine.pipe_bytes))
+        assert totals[0] == totals[1]

@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 from repro.bsp import (
     CheckpointStore,
     DenseBSPEngine,
+    FrontierPolicy,
     ShardedBSPEngine,
     ShardedWorkerError,
     SumAggregator,
@@ -389,14 +390,18 @@ class TestShardLayout:
 
     @pytest.mark.parametrize("name", ["rmat7", "directed-weighted", "idle-worker"])
     def test_whole_shard_flood_is_a_slice(self, name, num_workers):
+        """A worker reads its senders off the engine's shared bitmap:
+        marks on other shards' vertices select nothing in its sub-CSR."""
         g = LAYOUT_GRAPHS[name]()
         with ShardedBSPEngine(g, num_workers=num_workers) as engine:
             hist = engine._pool.arrays["hist"]
+            marked = engine._senders
             shards = _shards(engine)
             for w, shard in enumerate(shards):
                 owned = np.flatnonzero(engine.assignment == w)
                 m_w = shard.graph.num_arcs
-                assert shard.scatter(1, owned, "dense") == m_w
+                marked[:] = True
+                assert shard.scatter(1, "dense") == m_w
                 assert shard.sel == slice(0, m_w)
                 assert np.shares_memory(shard.dst, shard.graph.col_idx) or not m_w
                 assert np.array_equal(hist[w], shard.graph.in_degrees())
@@ -407,7 +412,8 @@ class TestShardLayout:
                 if senders.size < 2:
                     continue
                 # All but one sender: dense, but not the whole shard.
-                assert shard.scatter(2, senders[1:], "dense") < m_w
+                marked[senders[0]] = False
+                assert shard.scatter(2, "dense") < m_w
                 assert shard.sel.dtype == bool and shard.sel.size == m_w
                 assert np.array_equal(
                     hist[w], np.bincount(shard.dst, minlength=g.num_vertices)
@@ -462,16 +468,28 @@ class TestShardLayout:
         )
         assert_results_equal(dense, resumed)
 
-    def test_one_static_block_fewer_and_none_left_behind(self):
+    def test_worker_view_of_the_sender_bitmap_is_read_only(self):
+        with ShardedBSPEngine(LAYOUT_GRAPHS["rmat7"](), num_workers=2) as engine:
+            shards = _shards(engine)
+            for shard in shards:
+                with pytest.raises(ValueError, match="read-only"):
+                    shard.senders[0] = True
+            engine._senders[0] = True  # the parent marks, the workers see
+            assert all(shard.senders[0] for shard in shards)
+            for shard in shards:
+                shard.close()
+
+    @pytest.mark.parametrize("check", [False, True], ids=["plain", "check"])
+    def test_static_blocks_and_none_left_behind(self, check):
         before = set(os.listdir("/dev/shm"))
         for g, blocks in (
-            (LAYOUT_GRAPHS["rmat7"](), {"row_ptr", "col_idx", "hist"}),
+            (LAYOUT_GRAPHS["rmat7"](), {"row_ptr", "col_idx", "hist", "senders"}),
             (
                 LAYOUT_GRAPHS["directed-weighted"](),
-                {"row_ptr", "col_idx", "weights", "hist"},
+                {"row_ptr", "col_idx", "weights", "hist", "senders"},
             ),
         ):
-            engine = ShardedBSPEngine(g, num_workers=2)
+            engine = ShardedBSPEngine(g, num_workers=2, check=check)
             try:
                 assert set(engine._pool.arrays) == blocks
                 assert len(engine._pool._blocks) == len(blocks)
@@ -479,6 +497,68 @@ class TestShardLayout:
             finally:
                 engine.close()
         assert set(os.listdir("/dev/shm")) <= before
+
+
+# -- split floods ----------------------------------------------------------
+
+
+def _split_flood_graph():
+    """Vertex 0, its six neighbours 1..6, two children each (7..18) and
+    five grandchildren (19..23): BFS from 0 and CC's second superstep
+    both send from every neighbour of 0 but not from 0 itself."""
+    edges = [(0, i) for i in range(1, 7)] + [(1, 2), (3, 4), (5, 6)]
+    edges += [(i, 5 + 2 * i + k) for i in range(1, 7) for k in (0, 1)]
+    edges += [(7 + 2 * j, 19 + j) for j in range(5)]
+    return from_edge_list(edges, 24)
+
+
+def _split_flood_partition(num_workers):
+    """Worker 0 owns neighbours 1..3 of vertex 0 and nothing else; the
+    other workers share every remaining vertex."""
+    v = np.arange(24)
+    if num_workers == 1:
+        return np.zeros(24, dtype=np.int64)
+    owner = 1 + v % (num_workers - 1)
+    owner[1:4] = 0
+    return owner
+
+
+@pytest.mark.usefixtures("fan_out_every_superstep")
+class TestSplitFlood:
+    """One shard floods every arc it has (a slice, in its worker) while
+    the global flood is partial: that worker's histogram row still counts,
+    so the all-arcs ``in_degrees()`` shortcut must not take this path."""
+
+    @pytest.mark.parametrize("algorithm", ["cc", "bfs", "pagerank"])
+    def test_matches_dense(self, algorithm, num_workers):
+        g = _split_flood_graph()
+        make_program, engine_kwargs, float_values = ALGORITHMS[algorithm]
+        policy = FrontierPolicy(mode="dense")
+        dense = DenseBSPEngine(
+            g, frontier_policy=policy, **engine_kwargs
+        ).run(make_program())
+        tel = Telemetry("split")
+        assignment = _split_flood_partition(num_workers)
+        with ShardedBSPEngine(
+            g, num_workers=num_workers, partition=assignment,
+            frontier_policy=policy, telemetry=tel, **engine_kwargs,
+        ) as engine:
+            sharded = engine.run(make_program())
+        assert_results_equal(
+            dense, sharded, float_values=float_values and num_workers > 1
+        )
+        if algorithm == "pagerank" or num_workers == 1:
+            return
+        # The run did split a flood: worker 0 sent its whole shard while
+        # worker 1 sent part of its own.
+        counts = {}
+        for c in tel.counters:
+            if c.name == "shard_senders":
+                counts.setdefault(c.superstep, []).append(c.value)
+        shard_1 = int((assignment == 1).sum())
+        assert any(
+            k[0] == 3 and 0 < k[1] < shard_1 for k in counts.values()
+        ), counts
 
 
 # -- local supersteps ------------------------------------------------------
