@@ -257,11 +257,12 @@ class CSRGraph:
         if not self.directed:
             return self
         sources = self.arc_sources()
-        # One lexsort produces the transposed arcs already grouped by
+        # Arcs are stored in ascending source order, so one stable sort on
+        # the destination yields the transposed arcs already grouped by
         # new source (old dst) *and* sorted within each adjacency run —
-        # no per-vertex re-sort pass.  Stability keeps parallel arcs'
-        # weights paired in their original relative order.
-        order = np.lexsort((sources, self.col_idx))
+        # no per-vertex re-sort pass.  Stability also keeps parallel
+        # arcs' weights paired in their original relative order.
+        order = np.argsort(self.col_idx, kind="stable")
         new_ptr = np.zeros(self.num_vertices + 1, dtype=OFFSET_DTYPE)
         np.cumsum(self.in_degrees(), out=new_ptr[1:])
         return CSRGraph(

@@ -56,14 +56,12 @@ def degree_statistics(graph: CSRGraph) -> DegreeStatistics:
 
 def is_symmetric(graph: CSRGraph) -> bool:
     """True when for every stored arc u→v the reverse arc v→u is stored."""
+    # The arc multiset equals its transpose exactly when the sorted int64
+    # keys src * n + dst and dst * n + src agree.
+    n = graph.num_vertices
     src = graph.arc_sources()
     dst = graph.col_idx
-    forward = np.lexsort((dst, src))
-    backward = np.lexsort((src, dst))
-    return bool(
-        np.array_equal(src[forward], dst[backward])
-        and np.array_equal(dst[forward], src[backward])
-    )
+    return bool(np.array_equal(np.sort(src * n + dst), np.sort(dst * n + src)))
 
 
 def reachable_from(graph: CSRGraph, source: int) -> np.ndarray:
