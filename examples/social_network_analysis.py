@@ -6,8 +6,8 @@ workflow of graph analysis algorithms ... through a series of function
 calls").  This example mirrors the massive-social-network-analysis
 workflows the paper's group published (Twitter mining): take a
 scale-free network, extract the giant component, then profile it —
-components, degrees, clustering coefficients, k-cores, PageRank, and
-sampled betweenness — all against the same read-only CSR graph.
+components, degrees, clustering coefficients, k-cores and PageRank —
+all against the same read-only CSR graph.
 
 Run:  python examples/social_network_analysis.py
 """
@@ -54,19 +54,12 @@ def main() -> None:
         f"({cores.core_members(cores.max_core).size} members)"
     )
 
-    # Step 4: influence ranking (PageRank x betweenness sample).
+    # Step 4: influence ranking.
     ranks = giant.pagerank(tolerance=1e-10)
-    bc = giant.betweenness_centrality(num_sources=64, seed=1)
     top_pr = np.argsort(ranks.ranks)[::-1][:5]
-    print("top-5 by PageRank (vertex: rank, betweenness):")
+    print("top-5 by PageRank (vertex: rank):")
     for v in top_pr.tolist():
-        print(
-            f"  {v:6d}: {ranks.ranks[v]:.5f}, {bc.scores[v]:12.1f}"
-        )
-    # Hubs found by both measures should overlap heavily.
-    top_bc = set(np.argsort(bc.scores)[::-1][:20].tolist())
-    overlap = len(top_bc.intersection(top_pr.tolist()))
-    print(f"PageRank/betweenness top-list overlap: {overlap}/5")
+        print(f"  {v:6d}: {ranks.ranks[v]:.5f}")
 
 
 if __name__ == "__main__":

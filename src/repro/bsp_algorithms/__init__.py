@@ -17,20 +17,11 @@ counts, and per-superstep message counts.
 * :mod:`~repro.bsp_algorithms.pagerank` — the canonical Pregel example.
 """
 
-from repro.bsp_algorithms.betweenness import (
-    BSPBetweennessResult,
-    bsp_betweenness_centrality,
-)
 from repro.bsp_algorithms.bfs import (
     BSPBFSResult,
     BSPBreadthFirstSearch,
     DenseBreadthFirstSearch,
     bsp_breadth_first_search,
-)
-from repro.bsp_algorithms.community import (
-    BSPCommunityResult,
-    BSPLabelPropagation,
-    bsp_label_propagation_communities,
 )
 from repro.bsp_algorithms.connected_components import (
     BSPComponentsResult,
@@ -43,11 +34,6 @@ from repro.bsp_algorithms.kcore import (
     BSPKCoreResult,
     DenseKCore,
     bsp_k_core,
-)
-from repro.bsp_algorithms.mis import (
-    BSPLubyMIS,
-    BSPMISResult,
-    bsp_maximal_independent_set,
 )
 from repro.bsp_algorithms.pagerank import (
     BSPPageRank,
@@ -69,16 +55,11 @@ from repro.bsp_algorithms.triangles import (
 
 __all__ = [
     "BSPBFSResult",
-    "BSPBetweennessResult",
     "BSPBreadthFirstSearch",
-    "BSPCommunityResult",
-    "BSPLabelPropagation",
     "BSPComponentsResult",
     "BSPConnectedComponents",
     "BSPKCore",
     "BSPKCoreResult",
-    "BSPLubyMIS",
-    "BSPMISResult",
     "BSPPageRank",
     "BSPPageRankResult",
     "BSPSSSPResult",
@@ -90,13 +71,10 @@ __all__ = [
     "DenseKCore",
     "DensePageRank",
     "DenseShortestPaths",
-    "bsp_betweenness_centrality",
     "bsp_breadth_first_search",
     "bsp_connected_components",
     "bsp_count_triangles",
     "bsp_k_core",
-    "bsp_label_propagation_communities",
-    "bsp_maximal_independent_set",
     "bsp_pagerank",
     "bsp_sssp",
 ]

@@ -1,8 +1,8 @@
 """Subgraph extraction (a GraphCT workflow utility).
 
 GraphCT workflows chain kernels through utilities like "extract the
-subgraph induced by these vertices"; e.g. the betweenness example in the
-GraphCT paper first extracts the giant component.  Extraction relabels the
+subgraph induced by these vertices"; e.g. the GraphCT paper's workflows
+first extract the giant component.  Extraction relabels the
 kept vertices to a dense 0..k-1 id space and returns the mapping.
 """
 

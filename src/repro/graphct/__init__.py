@@ -3,7 +3,7 @@
 A Python/NumPy re-creation of the GraphCT kernels the paper benchmarks
 against (Ediger, Jiang, Riedy & Bader, "GraphCT: Multithreaded Algorithms
 for Massive Graph Analysis"), plus the neighbouring kernels GraphCT ships
-(clustering coefficients, k-core, PageRank, SSSP, betweenness centrality).
+(clustering coefficients, k-core, PageRank, SSSP).
 
 Every kernel:
 
@@ -17,31 +17,16 @@ Every kernel:
 """
 
 from repro.graphct.bfs import BFSResult, breadth_first_search
-from repro.graphct.betweenness import (
-    BetweennessResult,
-    betweenness_centrality,
-)
-from repro.graphct.community import (
-    CommunityResult,
-    label_propagation_communities,
-    modularity,
-)
 from repro.graphct.connected_components import (
     ComponentsResult,
     connected_components,
 )
-from repro.graphct.diameter import DiameterResult, estimate_diameter
 from repro.graphct.framework import GraphCT
 from repro.graphct.kcore import KCoreResult, k_core_decomposition
-from repro.graphct.mis import MISResult, maximal_independent_set
 from repro.graphct.pagerank import PageRankResult, pagerank
 from repro.graphct.sssp import SSSPResult, sssp
 from repro.graphct.streaming_clustering import (
     StreamingClusteringCoefficients,
-)
-from repro.graphct.st_connectivity import (
-    STConnectivityResult,
-    st_connectivity,
 )
 from repro.graphct.triangles import (
     ClusteringResult,
@@ -52,30 +37,19 @@ from repro.graphct.triangles import (
 
 __all__ = [
     "BFSResult",
-    "BetweennessResult",
     "ClusteringResult",
-    "CommunityResult",
     "ComponentsResult",
-    "DiameterResult",
     "GraphCT",
     "KCoreResult",
-    "MISResult",
     "PageRankResult",
     "SSSPResult",
-    "STConnectivityResult",
     "StreamingClusteringCoefficients",
     "TriangleResult",
-    "betweenness_centrality",
     "breadth_first_search",
     "clustering_coefficients",
     "connected_components",
     "count_triangles",
-    "estimate_diameter",
     "k_core_decomposition",
-    "label_propagation_communities",
-    "maximal_independent_set",
-    "modularity",
     "pagerank",
     "sssp",
-    "st_connectivity",
 ]

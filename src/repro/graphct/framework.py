@@ -16,16 +16,11 @@ from repro.graph.csr import CSRGraph
 from repro.graph.io import load_graph, read_edge_list
 from repro.graph.properties import degree_statistics, giant_component_vertex
 from repro.graph.subgraph import extract_subgraph
-from repro.graphct.betweenness import betweenness_centrality
-from repro.graphct.community import label_propagation_communities
-from repro.graphct.diameter import estimate_diameter
-from repro.graphct.mis import maximal_independent_set
 from repro.graphct.bfs import breadth_first_search
 from repro.graphct.connected_components import connected_components
 from repro.graphct.kcore import k_core_decomposition
 from repro.graphct.pagerank import pagerank
 from repro.graphct.sssp import sssp
-from repro.graphct.st_connectivity import st_connectivity
 from repro.graphct.triangles import clustering_coefficients, count_triangles
 from repro.telemetry.core import NULL_TELEMETRY, Telemetry
 
@@ -57,11 +52,6 @@ class GraphCT:
         "k_core_decomposition": k_core_decomposition,
         "pagerank": pagerank,
         "sssp": sssp,
-        "st_connectivity": st_connectivity,
-        "estimate_diameter": estimate_diameter,
-        "maximal_independent_set": maximal_independent_set,
-        "betweenness_centrality": betweenness_centrality,
-        "label_propagation_communities": label_propagation_communities,
     }
 
     def __init__(

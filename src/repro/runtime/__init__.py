@@ -10,19 +10,9 @@ cost model.
 
 from repro.runtime.counters import OpCounter
 from repro.runtime.loops import RegionRecorder, Tracer
-from repro.runtime.reducers import (
-    parallel_argmax,
-    parallel_max,
-    parallel_min,
-    parallel_sum,
-)
 
 __all__ = [
     "OpCounter",
     "RegionRecorder",
     "Tracer",
-    "parallel_argmax",
-    "parallel_max",
-    "parallel_min",
-    "parallel_sum",
 ]

@@ -121,27 +121,33 @@ def run_profile(
             "possible_triangles": res.possible_triangles,
         }
 
-    from repro import bsp_algorithms as algos
     from repro.bsp import make_engine
+    from repro.bsp_algorithms import (
+        bsp_breadth_first_search,
+        bsp_connected_components,
+        bsp_k_core,
+        bsp_pagerank,
+        bsp_sssp,
+    )
 
     with make_engine(
         graph, engine, num_workers=num_workers, partition=partition,
         telemetry=telemetry,
     ) as eng:
         if algorithm == "cc":
-            res = algos.bsp_connected_components(graph, engine=eng)
+            res = bsp_connected_components(graph, engine=eng)
             meta = {"num_components": res.num_components}
         elif algorithm == "bfs":
-            res = algos.bsp_breadth_first_search(graph, src, engine=eng)
+            res = bsp_breadth_first_search(graph, src, engine=eng)
             meta = {"source": src, "vertices_reached": res.vertices_reached}
         elif algorithm == "sssp":
-            res = algos.bsp_sssp(graph, src, engine=eng)
+            res = bsp_sssp(graph, src, engine=eng)
             meta = {"source": src}
         elif algorithm == "pagerank":
-            res = algos.bsp_pagerank(graph, engine=eng)
+            res = bsp_pagerank(graph, engine=eng)
             meta = {}
         else:  # kcore
-            res = algos.bsp_k_core(graph, k, engine=eng)
+            res = bsp_k_core(graph, k, engine=eng)
             meta = {"k": k}
     meta["num_supersteps"] = res.num_supersteps
     return res.trace, meta

@@ -1,15 +1,14 @@
-"""Tests for the auxiliary GraphCT kernels: k-core, PageRank, SSSP,
-betweenness, and the workflow framework."""
+"""Tests for the auxiliary GraphCT kernels: k-core, PageRank, SSSP, and
+the workflow framework."""
 
 import networkx as nx
 import numpy as np
 import pytest
 
-from repro.graph import from_edge_list, path_graph, ring_graph, star_graph
+from repro.graph import from_edge_list, ring_graph, star_graph
 from repro.graph.properties import peripheral_vertex
 from repro.graphct import (
     GraphCT,
-    betweenness_centrality,
     breadth_first_search,
     k_core_decomposition,
     pagerank,
@@ -134,45 +133,6 @@ class TestSSSP:
         res = sssp(small_rmat, src)
         assert res.active_per_round[0] == 1
         assert len(res.active_per_round) == res.num_rounds
-
-
-class TestBetweenness:
-    def test_path_center_is_max(self):
-        res = betweenness_centrality(path_graph(5))
-        assert np.argmax(res.scores) == 2
-        assert res.exact
-
-    def test_matches_networkx(self):
-        g = from_edge_list(
-            [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3), (3, 4)]
-        )
-        res = betweenness_centrality(g)
-        oracle = nx.betweenness_centrality(
-            nx.Graph(list(g.edges())), normalized=False
-        )
-        # Brandes accumulates each (s, t) pair from both endpoints.
-        for v in range(g.num_vertices):
-            assert res.scores[v] == pytest.approx(2 * oracle[v])
-
-    def test_star_hub_dominates(self):
-        res = betweenness_centrality(star_graph(6))
-        assert res.scores[0] > 0
-        assert np.all(res.scores[1:] == 0)
-
-    def test_sampled_estimates_exact(self, small_rmat):
-        exact = betweenness_centrality(small_rmat)
-        approx = betweenness_centrality(small_rmat, num_sources=256, seed=7)
-        assert not approx.exact
-        # Top exact vertex should rank highly under sampling.
-        top = int(np.argmax(exact.scores))
-        rank = int((approx.scores >= approx.scores[top]).sum())
-        assert rank <= max(20, small_rmat.num_vertices // 50)
-
-    def test_num_sources_validated(self):
-        with pytest.raises(ValueError):
-            betweenness_centrality(ring_graph(4), num_sources=0)
-        with pytest.raises(ValueError):
-            betweenness_centrality(ring_graph(4), num_sources=5)
 
 
 class TestGraphCTWorkflow:

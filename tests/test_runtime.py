@@ -1,16 +1,9 @@
-"""Tests for the instrumented runtime layer (counters, tracer, reducers)."""
+"""Tests for the instrumented runtime layer (counters, tracer)."""
 
 import numpy as np
 import pytest
 
-from repro.runtime import (
-    OpCounter,
-    Tracer,
-    parallel_argmax,
-    parallel_max,
-    parallel_min,
-    parallel_sum,
-)
+from repro.runtime import OpCounter, Tracer
 from repro.runtime.loops import RegionRecorder
 
 
@@ -126,34 +119,3 @@ class TestTracer:
         with tr.region("ss", items=4, kind="superstep"):
             pass
         assert tr.trace.regions[0].kind == "superstep"
-
-
-class TestReducers:
-    def test_values(self):
-        v = np.array([3, 1, 4, 1, 5])
-        assert parallel_sum(v) == 14
-        assert parallel_min(v) == 1
-        assert parallel_max(v) == 5
-        assert parallel_argmax(v) == 4
-
-    def test_empty_rejected(self):
-        empty = np.array([])
-        for fn in (parallel_min, parallel_max, parallel_argmax):
-            with pytest.raises(ValueError):
-                fn(empty)
-
-    def test_empty_sum_is_zero(self):
-        assert parallel_sum(np.array([])) == 0
-
-    def test_reduction_accounted(self):
-        rec = RegionRecorder("red", items=8)
-        parallel_sum(np.arange(8), rec)
-        region = rec.finish()
-        assert region.reads == 8
-        assert region.writes == 1
-        assert region.instructions >= 8
-
-    def test_empty_reduction_not_accounted(self):
-        rec = RegionRecorder("red", items=0)
-        parallel_sum(np.array([]), rec)
-        assert rec.finish().reads == 0

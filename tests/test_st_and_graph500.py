@@ -1,88 +1,15 @@
-"""Tests for st-connectivity and the Graph500 harness/validator."""
+"""Tests for the Graph500 harness and its BFS result validator."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.analysis.graph500 import (
     BFSValidationError,
     run_graph500,
     validate_bfs_result,
 )
-from repro.graph import from_edge_list, path_graph, ring_graph, rmat
+from repro.graph import from_edge_list, path_graph
 from repro.graphct import breadth_first_search
-from repro.graphct.st_connectivity import st_connectivity
-
-
-class TestSTConnectivity:
-    def test_path_graph(self):
-        res = st_connectivity(path_graph(10), 0, 9)
-        assert res.connected
-        assert res.path_length == 9
-
-    def test_same_vertex(self):
-        res = st_connectivity(ring_graph(5), 3, 3)
-        assert res.connected and res.path_length == 0
-        assert res.vertices_touched == 1
-
-    def test_adjacent(self):
-        res = st_connectivity(ring_graph(5), 0, 1)
-        assert res.path_length == 1
-
-    def test_disconnected(self):
-        g = from_edge_list([(0, 1), (2, 3)])
-        res = st_connectivity(g, 0, 3)
-        assert not res.connected
-        assert res.path_length == -1
-
-    def test_ring_halfway(self):
-        res = st_connectivity(ring_graph(20), 0, 10)
-        assert res.path_length == 10
-
-    def test_validation(self):
-        g = ring_graph(4)
-        with pytest.raises(IndexError):
-            st_connectivity(g, 0, 9)
-        with pytest.raises(ValueError, match="undirected"):
-            st_connectivity(from_edge_list([(0, 1)], directed=True), 0, 1)
-
-    def test_touches_fewer_edges_than_full_bfs(self):
-        g = rmat(scale=11, edge_factor=16, seed=1)
-        deg = g.degrees()
-        cands = np.flatnonzero(deg > 0)
-        s, t = int(cands[0]), int(cands[-1])
-        full = breadth_first_search(g, s)
-        if full.distances[t] < 0:
-            pytest.skip("endpoints not connected in this seed")
-        res = st_connectivity(g, s, t)
-        assert res.edges_examined <= sum(full.edges_examined)
-
-    @given(st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_matches_bfs_oracle(self, data):
-        n = data.draw(st.integers(min_value=2, max_value=18))
-        m = data.draw(st.integers(min_value=0, max_value=40))
-        edges = data.draw(
-            st.lists(
-                st.tuples(
-                    st.integers(min_value=0, max_value=n - 1),
-                    st.integers(min_value=0, max_value=n - 1),
-                ),
-                min_size=m,
-                max_size=m,
-            )
-        )
-        g = from_edge_list(edges, n)
-        s = data.draw(st.integers(min_value=0, max_value=n - 1))
-        t = data.draw(st.integers(min_value=0, max_value=n - 1))
-        oracle = breadth_first_search(g, s).distances[t]
-        res = st_connectivity(g, s, t)
-        if oracle < 0:
-            assert not res.connected
-        else:
-            assert res.connected
-            assert res.path_length == oracle
 
 
 class TestBFSValidation:
