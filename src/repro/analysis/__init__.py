@@ -1,10 +1,11 @@
 """Experiment harness: the paper's figures and table as runnable code.
 
-Each ``run_figN`` / ``run_table1`` function builds the workload, executes
-both programming models, prices the resulting work traces on the XMT
-machine model across the processor sweep, and returns a result object
-that the CLI renders and :mod:`~repro.analysis.verification` grades.
-The ablations beyond the paper are ``run_<name>`` functions in
+The experiment table, :data:`~repro.analysis.experiments.EXPERIMENTS`,
+carries each experiment's run, renderer, ``--json`` section and scorecard
+criteria, which :func:`~repro.analysis.verification.verify_all` grades.
+``run_figN`` / ``run_table1`` price algorithm runs that
+:func:`~repro.analysis.workload.traced` makes once per workload.  The
+ablations beyond the paper are ``run_<name>`` functions in
 :mod:`repro.analysis.ablations`, imported only when one runs.  See
 DESIGN.md §4 for the experiment-to-module index.
 """

@@ -15,14 +15,10 @@ import time
 import numpy as np
 
 from repro.analysis.experiments import run_fig4, run_table1
-from repro.analysis.workload import ExperimentConfig, build_workload
+from repro.analysis.workload import ExperimentConfig, build_workload, traced
 from repro.bsp import make_engine
 from repro.bsp.instrumentation import QUEUE_DESIGNS, with_queue_design
-from repro.bsp_algorithms import (
-    bsp_breadth_first_search,
-    bsp_connected_components,
-    bsp_count_triangles,
-)
+from repro.bsp_algorithms import bsp_connected_components, bsp_count_triangles
 from repro.cluster import (
     ClusterMachine,
     balanced_edge_partition,
@@ -32,12 +28,7 @@ from repro.cluster import (
 )
 from repro.graph import rmat, watts_strogatz
 from repro.graph.streaming import StreamingGraph
-from repro.graphct import (
-    breadth_first_search,
-    clustering_coefficients,
-    connected_components,
-    count_triangles,
-)
+from repro.graphct import clustering_coefficients, count_triangles
 from repro.graphct.streaming_clustering import StreamingClusteringCoefficients
 from repro.xmt.calibration import DEFAULT_COSTS
 from repro.xmt.cost_model import simulate
@@ -70,16 +61,12 @@ def run_hotspot(config: ExperimentConfig) -> dict:
     ratio.  The hotspot should cost the BSP queue at least as much as
     GraphCT's chunked reservations.
     """
-    wl = build_workload(config)
     p = max(config.processor_counts)
     real = config.machine(p)
     ideal = XMTMachine(num_processors=p, atomic_service_cycles=0.0)
-    traces = {
-        "bsp": bsp_breadth_first_search(wl.graph, wl.bfs_source).trace,
-        "graphct": breadth_first_search(wl.graph, wl.bfs_source).trace,
-    }
     out = {}
-    for name, trace in traces.items():
+    for name in ("bsp", "graphct"):
+        trace = traced(f"{name}_bfs", config).trace
         with_hotspot = simulate(trace, real).total_seconds
         without = simulate(trace, ideal).total_seconds
         out[name] = {
@@ -100,14 +87,14 @@ def run_combiner(config: ExperimentConfig) -> dict:
     """
     graph = build_workload(config).graph
     machine = config.machine(max(config.processor_counts))
-    plain = bsp_connected_components(graph)
+    plain = traced("bsp_cc", config)
     combined = bsp_connected_components(
         graph, engine=make_engine(graph, combine_messages=True)
     )
     traces = {
         "plain": plain.trace,
         "combined": combined.trace,
-        "graphct": connected_components(graph).trace,
+        "graphct": traced("graphct_cc", config).trace,
     }
     return {
         "messages_plain": plain.total_messages,
@@ -126,9 +113,8 @@ def run_degree_ordering(config: ExperimentConfig) -> dict:
     wedge set — Algorithm 3's superstep-1 messages — for the same
     triangle count.
     """
-    graph = build_workload(config).graph
-    by_id = count_triangles(graph, ordering="id")
-    by_degree = count_triangles(graph, ordering="degree")
+    by_id = traced("graphct_tc", config)  # id order is the default
+    by_degree = count_triangles(build_workload(config).graph, ordering="degree")
     return {
         "wedges_id_order": by_id.wedges_checked,
         "wedges_degree_order": by_degree.wedges_checked,
@@ -166,8 +152,7 @@ def run_queue_design(config: ExperimentConfig) -> dict:
     queue design at both ends of the processor sweep.  A single
     fetch-and-add tail should stop scaling; either mitigation should not.
     """
-    wl = build_workload(config)
-    trace = bsp_breadth_first_search(wl.graph, wl.bfs_source).trace
+    trace = traced("bsp_bfs", config).trace
     p_lo, p_hi = min(config.processor_counts), max(config.processor_counts)
     speedups, at_pmax = {}, {}
     for design in QUEUE_DESIGNS:
@@ -198,7 +183,7 @@ def run_partitioning(config: ExperimentConfig) -> dict:
             graph, balanced_edge_partition(graph, machines)
         ),
     }
-    cc = bsp_connected_components(graph)
+    cc = traced("bsp_cc", config)
     factor = config.extrapolation_factor
     trace = cc.trace.scaled(factor)
     messages = [int(m * factor) for m in cc.messages_per_superstep]

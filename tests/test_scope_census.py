@@ -205,6 +205,11 @@ DOCS = sorted(
 )
 _DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
 _PY_FILE = re.compile(r"[\w./-]*\w\.py\b")
+#: ``python -m repro.cli <name>`` or `` `repro <name>``; a placeholder
+#: such as ``ablation-<name>`` names nothing.
+_CLI_NAME = re.compile(r"(?:python -m repro\.cli|`repro) ([a-z][\w-]*\w)(?![\w<-])")
+#: ``repro`` commands outside the experiment table.
+SUBCOMMANDS = {"all", "profile", "serve", "check", "top", "version"}
 
 
 def _resolves(dotted: str) -> bool:
@@ -232,8 +237,11 @@ def _file_exists(ref: str, doc: Path, tree: list[str]) -> bool:
     "doc", DOCS, ids=[str(d.relative_to(REPO)) for d in DOCS]
 )
 def test_doc_references_resolve(doc):
-    """Dotted ``repro.*`` names resolve to a module or attribute and
-    ``*.py`` names exist in the tree.  History files are exempt."""
+    """Dotted ``repro.*`` names resolve to a module or attribute,
+    ``*.py`` names exist in the tree and ``repro <name>`` commands are
+    experiment-table keys or subcommands.  History files are exempt."""
+    from repro.cli import EXPERIMENTS
+
     text = doc.read_text()
     tree = [
         p.relative_to(REPO).as_posix()
@@ -245,8 +253,22 @@ def test_doc_references_resolve(doc):
          if not _resolves(m.group())}
         | {m.group() for m in _PY_FILE.finditer(text)
            if not _file_exists(m.group(), doc, tree)}
+        | {f"repro {m.group(1)}" for m in _CLI_NAME.finditer(text)
+           if m.group(1) not in EXPERIMENTS.keys() | SUBCOMMANDS}
     )
     assert not stale, f"{doc.name} names what does not exist: {stale}"
+
+
+def test_doc_index_names_every_experiment():
+    """EXPERIMENTS.md names every key of the experiment table, as a
+    ``repro`` command or in backticks."""
+    from repro.cli import EXPERIMENTS
+
+    text = (REPO / "EXPERIMENTS.md").read_text()
+    named = {m.group(1) for m in _CLI_NAME.finditer(text)}
+    named |= set(re.findall(r"`([\w-]+)`", text))
+    missing = sorted(EXPERIMENTS.keys() - named)
+    assert not missing, f"EXPERIMENTS.md does not name: {missing}"
 
 
 EXAMPLES = sorted((REPO / "examples").glob("*.py"))
