@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from repro.bsp.frontier import DENSE, SPARSE
+from repro.bsp.frontier import COMPLEMENT, DENSE, SPARSE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from multiprocessing.connection import Connection
@@ -131,8 +131,8 @@ _CMD_CLOSE = 0x04
 _REPLY_OK = 0x00
 _REPLY_ERR = 0x7F
 
-_MODE_CODE = {SPARSE: 0, DENSE: 1}
-_MODE_NAME = {0: SPARSE, 1: DENSE}
+_MODE_CODE = {SPARSE: 0, DENSE: 1, COMPLEMENT: 2}
+_MODE_NAME = {code: name for name, code in _MODE_CODE.items()}
 
 # Header of a scatter/gather frame after the command byte:
 # generation (int64), frontier-mode code (uint8), sender count (int64).

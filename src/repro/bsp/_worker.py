@@ -7,10 +7,12 @@ told to close:
 * ``run`` attaches the run's shared blocks (values, this worker's slice
   of the per-destination output, and in check mode its shadow slice);
 * ``scatter`` reads the shard's senders off the shared ``senders``
-  bitmap the parent marked, selects their out-arcs, publishes the
+  bitmap the parent marked, selects their out-arcs (a complement: the
+  whole shard less the rows of its quiet vertices), publishes the
   per-destination histogram and keeps the selection warm;
-* ``gather`` delivers that cached selection: payload hook, then the
-  combiner fold into this worker's output slice.
+* ``gather`` delivers that cached selection: payload hook (the fold's
+  identity written at a complement's left-out arcs), then the combiner
+  fold into this worker's output slice.
 
 Every task ends in the same epilogue: busy time (recv-to-reply) and the
 worker's peak RSS ride on the ``("ok", ...)`` reply, so the parent's
@@ -30,9 +32,10 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.bsp._scatter import NO_ARCS, complement_histogram, fill_left_out
 from repro.bsp._wire import PackedWire, ok_reply
 from repro.bsp.dense import DenseVertexProgram
-from repro.bsp.frontier import select_arcs
+from repro.bsp.frontier import COMPLEMENT, arc_indices, select_arcs
 from repro.graph.csr import CSRGraph
 from repro.telemetry.core import peak_rss_bytes
 from repro.telemetry.flightrec import (
@@ -65,8 +68,8 @@ _PHASE_BY_CMD = {"run": PH_RUN, "scatter": PH_SCATTER, "gather": PH_GATHER}
 class _Shard:
     """A worker's warm state: the attached graph for the pool's lifetime,
     the program and output slices per run, and the (generation, arc
-    selection, destinations) of the last scatter, reused by the gather of
-    the following superstep."""
+    selection, destinations, left-out arcs) of the last scatter, reused
+    by the gather of the following superstep."""
 
     def __init__(self, spec: dict, ring: RingWriter | None) -> None:
         self.n = n = spec["num_vertices"]
@@ -107,6 +110,7 @@ class _Shard:
         self.shadow_out: np.ndarray | None = None
         self.sel: Any = None
         self.dst: Any = None
+        self.left_out: np.ndarray = NO_ARCS
         self.generation = -1
 
     @staticmethod
@@ -155,19 +159,30 @@ class _Shard:
             else None
         )
         self.sel = self.dst = None
+        self.left_out = NO_ARCS
         self.generation = -1
 
     def scatter(self, generation: int, mode: str) -> int:
+        """Select the shard's flood; returns how many arcs it selects."""
         graph = self.graph
         self.generation = generation
-        senders = np.flatnonzero(self.senders & self.owned)
-        self.sel = select_arcs(senders, graph.row_ptr, mode)
+        self.left_out = NO_ARCS
+        if mode == COMPLEMENT:  # the senders are never listed
+            self.sel = slice(0, graph.num_arcs)
+            self.left_out = arc_indices(
+                np.flatnonzero(self.owned & ~self.senders), graph.row_ptr
+            )
+        else:
+            senders = np.flatnonzero(self.senders & self.owned)
+            self.sel = select_arcs(senders, graph.row_ptr, mode)
         self.dst = graph.col_idx[self.sel]
-        if isinstance(self.sel, slice):  # the whole shard: nothing to count
-            self.hist_out[:] = graph.in_degrees()
+        if isinstance(self.sel, slice):
+            self.hist_out[:] = complement_histogram(
+                graph.in_degrees(), self.dst, self.left_out
+            )
         else:
             self.hist_out[:] = np.bincount(self.dst, minlength=self.n)
-        return int(self.dst.size)
+        return int(self.dst.size - self.left_out.size)
 
     def gather(self, generation: int) -> int:
         if generation != self.generation:
@@ -191,7 +206,12 @@ class _Shard:
             # attributed to exactly this worker, never lands in the
             # shared array, and is diffed by the parent at the barrier.
             values = values.copy()
-        payload = np.asarray(program.arc_payload(self.graph, values, self.sel))
+        payload = fill_left_out(
+            np.asarray(program.arc_payload(self.graph, values, self.sel)),
+            self.left_out,
+            program.combine_identity,
+            total,
+        )
         if self.shadow_out is not None:
             self.shadow_out[:] = values
         out = self.gathered_out
@@ -205,7 +225,7 @@ class _Shard:
             )
             if ring is not None:
                 ring.record(EV_PROGRESS, PH_GATHER, step, end, total)
-        return total
+        return total - int(self.left_out.size)
 
     def close(self) -> None:
         if self.ring is not None:

@@ -14,13 +14,13 @@ combiner-fused scatter/gather:
   never materialized as Python objects: the arc selection out of the
   sender set *is* the message queue.  The selection itself is
   frontier-adaptive (:mod:`repro.bsp.frontier`): a sparse arc-index
-  array while the frontier is small, a boolean mask once the
-  frontier-incident arc count crosses the GBBS-style ``m / k``
-  threshold, so low-activity supersteps (BFS tails, CC late rounds,
-  SSSP settling) stop paying ``O(n + m)`` sweeps — and, when the flood
-  covers every arc (CC's first round, every PageRank round), the slice
-  over the whole arc array, for which the graph's own ``col_idx`` and
-  in-degree vector *are* the destinations and the enqueue histogram.
+  array while the frontier is small, so low-activity supersteps (BFS
+  tails, CC late rounds, SSSP settling) stop paying ``O(n + m)``
+  sweeps; a boolean mask for middling floods; and, once all but
+  ``m / k`` arcs flood (CC's first rounds, every PageRank round), the
+  complement — the whole-arc slice less the quiet vertices' rows, for
+  which the graph's own ``col_idx`` and in-degree vector, less those
+  rows, *are* the destinations and the enqueue histogram.
 * **gather** — the per-arc payloads are produced in one vectorized call
   and folded per destination with a NumPy ufunc (``np.minimum.at`` for
   label/distance flooding, ``np.add.at`` for rank/notice accumulation).
@@ -50,15 +50,22 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from repro.bsp._scatter import enqueue_histogram
+from repro.bsp._scatter import (
+    NO_ARCS,
+    complement_histogram,
+    enqueue_histogram,
+    fill_left_out,
+)
 from repro.bsp.aggregators import Aggregator
 from repro.bsp.checkpoint import Checkpoint, CheckpointStore
 from repro.bsp.engine import BSPResult
 from repro.bsp.frontier import (
+    COMPLEMENT,
     DEFAULT_FRONTIER_POLICY,
-    DENSE,
+    SPARSE,
     ArcSelection,
     FrontierPolicy,
+    arc_indices,
     select_arcs,
 )
 from repro.bsp.instrumentation import record_superstep
@@ -213,8 +220,9 @@ class DenseVertexProgram(ABC):
     #: (``np.minimum`` for label/distance flooding, ``np.add`` for
     #: rank/notice accumulation).
     combine: np.ufunc = np.minimum
-    #: Fill value for destinations that received no message (the fold's
-    #: identity).  Subclasses must override.
+    #: Fill value for destinations that received no message, and for the
+    #: arcs a complement flood leaves out: it must be the fold's identity
+    #: (``combine(x, identity) == x``).  Subclasses must override.
     combine_identity: Any = None
     #: dtype of the gathered message array.
     message_dtype: Any = np.float64
@@ -230,11 +238,17 @@ class DenseVertexProgram(ABC):
         """Message values carried by the selected arcs.
 
         ``selection`` picks every out-arc of the previous superstep's
-        senders out of the graph's arc array, as either a boolean mask
-        or a sorted int64 index array (:mod:`repro.bsp.frontier` decides
-        per superstep); both index arc-parallel arrays identically, so
-        implementations must treat it as an opaque fancy index.  The
-        result must be parallel to ``graph.col_idx[selection]``.
+        senders out of the graph's arc array, as a boolean mask, a
+        sorted int64 index array or the whole-arc slice
+        (:mod:`repro.bsp.frontier` decides per superstep); all index
+        arc-parallel arrays identically, so implementations must treat
+        it as an opaque fancy index.  The result must be parallel to
+        ``graph.col_idx[selection]``.  A near-full flood gets the slice
+        with some rows left out: the engine then writes
+        ``combine_identity`` into the result at those arcs, in place if
+        the result owns its memory (a fresh array), on a copy otherwise
+        (a view of graph or program state) — so return a copy of any
+        owned array you keep between calls.
         ``graph`` is the engine's view of the arcs being delivered (on the
         sharded engine one shard's subgraph): read arc-parallel arrays via
         ``selection``, per-vertex ones (``degrees()``, ``values``) at the
@@ -288,7 +302,7 @@ class DenseBSPEngine:
         GBBS-style ``m / k`` heuristic).  Affects only execution speed —
         results, counts, and traces are representation-independent.
         The per-superstep decision is recorded as the ``frontier_mode``
-        telemetry counter (0 sparse, 1 dense).
+        telemetry counter (0 sparse, 1 mask or complement).
     aggregators:
         Named global aggregators available to the program.
     costs:
@@ -329,9 +343,11 @@ class DenseBSPEngine:
         self._agg_visible: dict[str, Any] = {}
         # Pending-scatter state shared with the gather of the next
         # superstep (see _select/_gather): the arc selection, the arcs'
-        # destinations, the raw flood size, and the enqueue histogram.
+        # destinations, the arcs a complement leaves out (empty for any
+        # other form), the raw flood size, and the enqueue histogram.
         self._pending_sel: ArcSelection | None = None
         self._pending_dst: np.ndarray | None = None
+        self._pending_left_out: np.ndarray = NO_ARCS
         self._pending_raw: int = 0
         self._pending_hist: np.ndarray | None = None
 
@@ -505,6 +521,12 @@ class DenseBSPEngine:
                     np.any(np.diff(new_senders) <= 0)
                 ):
                     new_senders = np.unique(new_senders)
+                # Sorted, so the ends bound it: an id outside [0, n)
+                # would wrap (mask, bitmap) or crash (sparse) otherwise.
+                if new_senders.size and (
+                    new_senders[0] < 0 or new_senders[-1] >= n
+                ):
+                    raise IndexError("sender vertex out of range")
 
             with tel.span("scatter", category="phase", superstep=superstep):
                 sent_raw, enq = self._scatter(program, new_senders)
@@ -577,6 +599,7 @@ class DenseBSPEngine:
         superstep that sent nothing)."""
         self._pending_sel = None
         self._pending_dst = None
+        self._pending_left_out = NO_ARCS
         self._pending_raw = 0
         self._pending_hist = None
 
@@ -598,7 +621,7 @@ class DenseBSPEngine:
         if self.telemetry.enabled:
             self.telemetry.counter(
                 "frontier_mode",
-                1 if mode == DENSE else 0,
+                0 if mode == SPARSE else 1,
                 superstep=self._tel_superstep,
             )
         return mode
@@ -607,8 +630,9 @@ class DenseBSPEngine:
         """Select the out-arcs of ``senders`` and retain them for the
         delivery; returns the per-destination enqueue histogram.
 
-        A selection of every arc indexes ``col_idx`` as a view, and its
-        histogram is the graph's in-degree vector: nothing is computed.
+        A complement indexes ``col_idx`` as a view, and its histogram is
+        the graph's in-degree vector less the quiet vertices' rows: only
+        the left-out arcs are touched (none on a full flood).
         """
         graph = self.graph
         mode = self._choose_mode(senders, flood_arcs)
@@ -617,8 +641,15 @@ class DenseBSPEngine:
         self._pending_sel = sel
         self._pending_dst = dst
         self._pending_raw = flood_arcs
+        if mode == COMPLEMENT:
+            quiet = graph.degrees() > 0
+            quiet[senders] = False
+            left_out = arc_indices(np.flatnonzero(quiet), graph.row_ptr)
+        else:
+            left_out = NO_ARCS
+        self._pending_left_out = left_out
         if isinstance(sel, slice):
-            return graph.in_degrees()
+            return complement_histogram(graph.in_degrees(), dst, left_out)
         return enqueue_histogram(dst, graph.num_vertices)
 
     def _gather(
@@ -654,6 +685,7 @@ class DenseBSPEngine:
             )
         sel = self._pending_sel
         dst = self._pending_dst
+        left_out = self._pending_left_out
         raw = self._pending_raw
         receivers = (
             np.flatnonzero(self._pending_hist)
@@ -665,8 +697,11 @@ class DenseBSPEngine:
         def inbox() -> np.ndarray:
             tel = self.telemetry
             with tel.span("deliver", category="phase", superstep=superstep):
-                payload = np.asarray(
-                    program.arc_payload(graph, self.values, sel)
+                payload = fill_left_out(
+                    np.asarray(program.arc_payload(graph, self.values, sel)),
+                    left_out,
+                    identity,
+                    dst.size,
                 )
                 gathered = np.full(n, identity, dtype=mdtype)
                 if dst.size:
@@ -674,7 +709,7 @@ class DenseBSPEngine:
             if tel.enabled:
                 tel.counter(
                     "bytes_delivered",
-                    int(payload.nbytes),
+                    int(payload.nbytes - left_out.size * payload.itemsize),
                     superstep=superstep,
                 )
             return gathered

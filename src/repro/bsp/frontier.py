@@ -1,36 +1,44 @@
-"""Frontier representation and sparse/dense arc selection.
+"""Frontier representation and sparse/mask/complement arc selection.
 
 The dense engines express every superstep's message traffic as "select
 all out-arcs of the sender set, then operate on them in arc order".
-Three selection forms implement that contract:
+Three selection forms implement that contract, each sized to what it
+has to touch (GBBS sizes frontier work to the frontier, "Theoretically
+Efficient Parallel Graph Algorithms Can Be Fast and Scalable"):
 
-* **dense** — a boolean mask over the whole arc array
-  (:func:`~repro.bsp._scatter.arcs_from`).  Building and applying it
-  costs ``O(n + m)`` no matter how small the frontier is, which is
-  exactly why BFS tails, CC late rounds, and SSSP settling supersteps
-  used to pay full-graph sweeps.
 * **sparse** — an int64 array of the selected arc *indices*, built by
   concatenating each sender's CSR slice (:func:`arc_indices`).  Cost is
   proportional to the frontier-incident arcs only.
-* **full** — the slice ``slice(0, num_arcs)``, returned in place of the
-  mask whenever the senders' out-arcs are *all* the arcs (CC's first
-  round, every PageRank round).  Indexing with it yields views of the
-  graph's own arrays: nothing is built, nothing is copied.  It is a
-  property of the flood, not a policy decision, so it needs no
-  threshold and counts as dense in ``frontier_mode``.
+* **mask** (mode ``"dense"``) — a boolean mask over the whole arc array
+  (:func:`~repro.bsp._scatter.arcs_from`): a fixed ``O(n + m)`` build,
+  an m-long compress of ``col_idx`` and a histogram of the selected
+  destinations.
+* **complement** — the mirror of sparse for near-full floods: the
+  program gets the slice ``slice(0, num_arcs)`` (views of the graph's
+  own arrays, nothing built or copied), and the engine keeps the arcs it
+  must leave out — the rows of the *quiet* vertices, those with out-arcs
+  that do not send — as sparse indices (:func:`arc_indices` over the
+  quiet set, ``O(n)`` plus the left-out arcs).  The enqueue histogram
+  is ``in_degrees()`` less the quiet rows' destinations, and delivery
+  writes the fold's identity into the payload at the left-out arcs
+  before folding over all of ``col_idx`` (:mod:`repro.bsp._scatter`).  **Full** — every arc floods, CC's first
+  round and every PageRank round — is the complement that leaves out
+  nothing; a forced ``mode="dense"`` returns the same slice for it.
 
 All forms index NumPy arc-parallel arrays (``col_idx``, ``weights``,
 ``arc_sources``) identically and in the same ascending arc order, so
 every downstream kernel — payload evaluation, per-destination
-histograms, combiner folds — produces bit-identical results either way.
+histograms, combiner folds — produces bit-identical results either way
+(the complement's identity fills are exact: ``x + 0 == x`` and
+``min(x, identity) == x``).
 Per-vertex quantities reach the arcs through :func:`source_values`,
 which repeats a sender's value along its CSR row instead of gathering
 it once per arc.
-:class:`FrontierPolicy` picks the representation per superstep with the
-GBBS-style heuristic: go dense once the frontier-incident arc count
-exceeds ``m / k`` ("Theoretically Efficient Parallel Graph Algorithms
-Can Be Fast and Scalable"), sparse otherwise.  The engines record the
-decision as the ``frontier_mode`` telemetry counter.
+:class:`FrontierPolicy` picks the representation per superstep with one
+divisor ``k``: sparse while the frontier-incident arcs number at most
+``m / k``, complement while the quiet vertices' arcs do, the mask in
+between.  The engines record the decision as the ``frontier_mode``
+telemetry counter (0 sparse; 1 mask or complement).
 """
 
 from __future__ import annotations
@@ -44,7 +52,8 @@ from repro.bsp._scatter import arcs_from
 from repro.graph.csr import CSRGraph
 
 #: An arc selection: boolean mask over all arcs (dense), sorted int64
-#: arc indices (sparse), or the slice covering every arc (full).  Opaque
+#: arc indices (sparse), or the slice covering every arc (complement and
+#: full; the engine keeps a complement's left-out arcs aside).  Opaque
 #: to programs — valid only as an index into arc-parallel arrays or via
 #: :func:`selected_arc_count` / :func:`source_values`.
 ArcSelection = NDArray[np.bool_] | NDArray[np.int64] | slice
@@ -52,6 +61,7 @@ ArcSelection = NDArray[np.bool_] | NDArray[np.int64] | slice
 __all__ = [
     "ArcSelection",
     "DEFAULT_FRONTIER_POLICY",
+    "COMPLEMENT",
     "DENSE",
     "SPARSE",
     "FrontierPolicy",
@@ -61,29 +71,35 @@ __all__ = [
     "source_values",
 ]
 
-#: Frontier / arc-selection representation names.
+#: Frontier / arc-selection representation names.  ``COMPLEMENT`` is a
+#: decision of the ``"auto"`` rule only, never a forced ``mode``.
 SPARSE = "sparse"
 DENSE = "dense"
+COMPLEMENT = "complement"
 
 
 @dataclass(frozen=True)
 class FrontierPolicy:
-    """Per-superstep sparse/dense switching rule.
+    """Per-superstep sparse/mask/complement switching rule.
 
     Parameters
     ----------
     k:
-        Density threshold divisor: a superstep's arc selection goes
-        dense when the frontier-incident arc count exceeds ``m / k``
-        (``m`` counting directed arcs).  The crossover between the two
-        representations is where the sparse build's ``O(frontier
-        arcs)`` work with its larger constant overtakes the mask path's
-        fixed ``O(n + m)`` sweep; ``k = 3`` matches the measured
-        crossover of the NumPy kernels and errs toward sparse.
+        Threshold divisor, applied from both ends (``m`` counts directed
+        arcs): a superstep's selection is sparse while its
+        frontier-incident arcs number at most ``m / k``, complement
+        while the arcs of its quiet vertices (``m`` less the frontier's)
+        do, and the mask in between — with ``k = 3``, the mask serves
+        floods of one to two thirds of the arcs.  Sparse and complement
+        cost ``O(arcs they list)`` with a larger constant than the
+        mask's fixed ``O(n + m)`` sweep; the per-flood-fraction costs
+        behind ``k = 3`` are tabulated in docs/MODEL.md ("Frontier
+        representation").
     mode:
-        ``"auto"`` applies the heuristic; ``"sparse"`` / ``"dense"``
-        force one representation for every superstep (ablation and
-        regression-test hooks).
+        ``"auto"`` applies the rule; ``"sparse"`` / ``"dense"`` force
+        the index array or the mask (the whole-arc slice when every arc
+        floods) for every superstep (ablation and regression-test
+        hooks).
     """
 
     k: int = 3
@@ -109,7 +125,11 @@ class FrontierPolicy:
         """Representation for one superstep's sender set."""
         if self.mode != "auto":
             return self.mode
-        return DENSE if frontier_arcs > num_arcs // self.k else SPARSE
+        if frontier_arcs <= num_arcs // self.k:
+            return SPARSE
+        if num_arcs - frontier_arcs <= num_arcs // self.k:
+            return COMPLEMENT
+        return DENSE
 
 
 #: The engines' default switching rule.
@@ -137,18 +157,21 @@ def arc_indices(
 def select_arcs(
     senders: NDArray[np.int64], row_ptr: NDArray[np.int64], mode: str
 ) -> ArcSelection:
-    """Arc selection for ``senders`` in the given representation.
+    """The selection a program sees for ``senders`` in ``mode``.
 
     Returns an int64 index array (``mode="sparse"``) or, for
     ``mode="dense"``, a boolean mask — unless the senders' out-arcs are
     all the arcs there are, in which case the mask would be all-True and
-    the slice over the whole arc array stands in for it.  All three
-    select identical arcs in identical order.
+    the slice over the whole arc array stands in for it.  A complement
+    is that slice too, whatever the senders: the arcs it leaves out, the
+    quiet vertices' rows, the engine keeps aside.
     """
     if mode == SPARSE:
         return arc_indices(senders, row_ptr)
     num_arcs = int(row_ptr[-1])
-    if int((row_ptr[senders + 1] - row_ptr[senders]).sum()) == num_arcs:
+    if mode == COMPLEMENT or (
+        int((row_ptr[senders + 1] - row_ptr[senders]).sum()) == num_arcs
+    ):
         return slice(0, num_arcs)
     return arcs_from(senders, row_ptr)
 

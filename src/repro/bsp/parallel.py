@@ -24,7 +24,9 @@ Design:
   ``senders`` bitmap, and each worker reads its own shard's senders off
   it and floods only their out-arcs, using the frontier-adaptive arc
   selection (:mod:`repro.bsp.frontier`) the parent chose for the
-  superstep.  The parent never splits the set.
+  superstep — for a complement, each worker leaves out the rows of its
+  own quiet vertices (``owned & ~senders``) and never lists a sender.
+  The parent never splits the set.
 * **Combiner merge at the barrier** — each worker folds its shard's
   messages into a private per-destination array; the parent merges the
   per-worker arrays with the program's combiner (``np.minimum`` /
@@ -530,9 +532,10 @@ class ShardedBSPEngine(DenseBSPEngine):
         bitmap, marked here before any frame leaves: each worker reads
         its own senders off it, so a scatter frame is 18 bytes however
         many vertices send.  The parent only counts senders per shard to
-        know which workers take part.  A flood of every arc has the
-        graph's cached in-degrees as its histogram; any other flood's is
-        the sum of the participants' rows.
+        know which workers take part.  The flood's histogram is the sum
+        of the participants' rows, each worker's in whichever form it
+        selected (a complement's: its shard's in-degrees less its quiet
+        rows).
         """
         mask = self._senders
         mask[:] = False
@@ -560,9 +563,11 @@ class ShardedBSPEngine(DenseBSPEngine):
             },
             phase="scatter",
         )
-        if flood_arcs == self.graph.num_arcs:
-            return self.graph.in_degrees()
-        return self._hist[list(self._participants)].sum(axis=0)
+        first, *rest = self._participants
+        hist = self._hist[first].copy()
+        for w in rest:  # row by row: no (participants, n) temporary
+            hist += self._hist[w]
+        return hist
 
     def _scatter(
         self, program: DenseVertexProgram, new_senders: np.ndarray

@@ -36,7 +36,9 @@ def fan_out_every_superstep(monkeypatch):
 @pytest.fixture
 def selection_forms(monkeypatch):
     """The form of every arc selection the in-process engine makes, in
-    order: ``"full"`` (slice), ``"dense"`` (mask) or ``"sparse"``."""
+    order: ``"full"`` (the slice, nothing left out), ``"complement"``
+    (the slice less some quiet rows), ``"dense"`` (mask) or
+    ``"sparse"``."""
     from repro.bsp.frontier import select_arcs
 
     forms = []
@@ -44,7 +46,8 @@ def selection_forms(monkeypatch):
     def recording_select_arcs(senders, row_ptr, mode):
         selection = select_arcs(senders, row_ptr, mode)
         if isinstance(selection, slice):
-            forms.append("full")
+            flood = int((row_ptr[senders + 1] - row_ptr[senders]).sum())
+            forms.append("full" if flood == row_ptr[-1] else "complement")
         else:
             forms.append("dense" if selection.dtype == bool else "sparse")
         return selection

@@ -2,12 +2,14 @@
 
 Three contracts from the frontier work:
 
-* **Representation independence** — the sparse (arc-index) and dense
-  (boolean-mask) arc selections are interchangeable at *every* superstep
-  of *every* algorithm: forcing either mode, or switching between them
-  on any schedule, yields results bit-identical to the reference engine
+* **Representation independence** — the sparse (arc-index), dense
+  (boolean-mask) and complement (whole-arc slice less the quiet rows)
+  arc selections are interchangeable at *every* superstep of *every*
+  algorithm: forcing any of them, or switching between them on any
+  schedule, yields results bit-identical to the reference engine
   (values, superstep counts, message counts, work traces), on the dense
-  and sharded engines alike.
+  and sharded engines alike; a sender id outside ``[0, n)`` raises the
+  same ``IndexError`` under every form.
 * **Receiver-filter BFS** — the dense BFS never reads its inbox (it
   filters the engine's receiver set) yet matches the reference engine
   on directed and undirected inputs, and ``frontier_sizes`` reports the
@@ -27,14 +29,16 @@ from hypothesis import strategies as st
 from repro.bsp import (
     BSPEngine,
     DenseBSPEngine,
+    DenseVertexProgram,
     FrontierPolicy,
     ShardedBSPEngine,
     SumAggregator,
 )
-from repro.bsp import parallel
+from repro.bsp import _worker, parallel
 from repro.bsp._scatter import arcs_from
-from repro.bsp._wire import PackedWire, make_wire
+from repro.bsp._wire import PackedWire, WireFormatError, make_wire
 from repro.bsp.frontier import (
+    COMPLEMENT,
     DENSE,
     SPARSE,
     arc_indices,
@@ -46,6 +50,7 @@ from repro.bsp_algorithms import (
     BSPBreadthFirstSearch,
     BSPConnectedComponents,
     BSPKCore,
+    BSPPageRank,
     BSPShortestPaths,
     DenseBreadthFirstSearch,
     DenseConnectedComponents,
@@ -89,8 +94,9 @@ class ScheduledPolicy:
 
 class TestSelection:
     def test_policy_validation(self):
-        with pytest.raises(ValueError, match="mode"):
-            FrontierPolicy(mode="turbo")
+        for mode in ("turbo", COMPLEMENT):  # complement is auto's alone
+            with pytest.raises(ValueError, match="mode"):
+                FrontierPolicy(mode=mode)
         with pytest.raises(ValueError, match="k"):
             FrontierPolicy(k=0)
 
@@ -103,6 +109,13 @@ class TestSelection:
         assert (
             policy.choose(frontier_arcs=101, num_arcs=300, **common) == DENSE
         )
+        # The mirror rule: complement once the quiet vertices' arcs
+        # (m less the frontier's) number at most m / k; a full flood too.
+        assert policy.choose(frontier_arcs=199, num_arcs=300, **common) == DENSE
+        for frontier_arcs in (200, 300):
+            assert policy.choose(
+                frontier_arcs=frontier_arcs, num_arcs=300, **common
+            ) == COMPLEMENT
 
     def test_forced_modes_ignore_density(self):
         common = dict(
@@ -112,6 +125,7 @@ class TestSelection:
         dense = FrontierPolicy(mode="dense")
         assert sparse.choose(frontier_arcs=30, **common) == SPARSE
         assert dense.choose(frontier_arcs=0, **common) == DENSE
+        assert dense.choose(frontier_arcs=30, **common) == DENSE
 
     @pytest.mark.parametrize(
         "make_graph",
@@ -485,6 +499,307 @@ class TestPropertySchedules:
         assert_results_equal(ref, got)
 
 
+# -- the complement form ---------------------------------------------------
+
+#: Every superstep a complement, whatever its flood (the auto rule takes
+#: it only once the quiet vertices' arcs number at most m / k).
+ALWAYS_COMPLEMENT = ScheduledPolicy({}, default=COMPLEMENT)
+
+#: Complement floods that leave out most of the arcs (a tiny frontier:
+#: BFS / SSSP from one vertex), none of them (CC's first superstep, every
+#: PageRank superstep), zero-degree vertices' empty rows, and directed
+#: and weighted arcs.
+COMPLEMENT_GRAPHS = {
+    "rmat8": lambda: rmat(scale=8, edge_factor=8, seed=7),
+    "path": lambda: path_graph(12),
+    "isolated": lambda: from_edge_list(
+        [(0, 1), (2, 3), (3, 5), (5, 2)], num_vertices=9
+    ),
+    "directed": lambda: from_edge_list(
+        DIRECTED_DIAMOND, num_vertices=7, directed=True
+    ),
+    "directed-weighted": lambda: from_edge_array(
+        np.random.default_rng(4).integers(0, 40, size=(160, 2)),
+        40,
+        directed=True,
+        weights=np.random.default_rng(5).random(160) + 0.25,
+    ),
+}
+
+
+def reference_run(graph, name):
+    make_ref, _, args = PROGRAMS[name]
+    ref = BSPEngine(graph).run(make_ref(*args))
+    if name == "bfs":
+        ref.values = [UNREACHED if v is None else v for v in ref.values]
+    return ref
+
+
+class LightestInArc(DenseVertexProgram):
+    """Flood from a source: a reached vertex sends once, and every vertex
+    keeps the lightest arc weight it was sent.  The payload is a bare view
+    of an arc array the engine does not own — the graph's read-only
+    ``weights`` or (``kept``) a writable copy the program keeps between
+    supersteps — so a complement's identity fill must copy it: written
+    through, a left-out row would carry ``inf`` once its vertex sends."""
+
+    combine = np.minimum
+    combine_identity = np.inf
+    message_dtype = np.float64
+
+    def __init__(self, source, *, kept):
+        self.source = source
+        self.kept = kept
+        self.lengths = None
+
+    def initial_values(self, graph):
+        return np.full(graph.num_vertices, np.inf)
+
+    def arc_payload(self, graph, values, selection):
+        if not self.kept:
+            return graph.weights[selection]
+        if self.lengths is None:
+            self.lengths = np.array(graph.weights)  # owned, writable
+        return self.lengths[selection]
+
+    def compute(self, ctx):
+        ctx.vote_to_halt()
+        if ctx.superstep == 0:
+            return np.asarray([self.source], dtype=np.int64)
+        receivers, values = ctx.receivers, ctx.values
+        reached = receivers[np.isinf(values[receivers])]
+        values[receivers] = np.minimum(values[receivers], ctx.messages[receivers])
+        return reached
+
+
+class OutOfRangeSender(DenseConnectedComponents):
+    """CC whose first superstep also names vertex ``bad`` as a sender."""
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def compute(self, ctx):
+        senders = super().compute(ctx)
+        if ctx.superstep:
+            return senders
+        return np.unique(np.append(senders, self.bad))
+
+
+class TestComplement:
+    """The complement form — the whole-arc slice less the quiet vertices'
+    rows — is one more interchangeable representation: forced at every
+    superstep it equals the reference engine, its histogram and delivery
+    count only the selected arcs, and its identity fill never writes
+    through to arrays the engine does not own."""
+
+    def test_left_out_arcs_are_the_quiet_rows(self):
+        g = rmat(scale=7, edge_factor=8, seed=3)
+        rng = np.random.default_rng(2)
+        for size in (0, 1, g.num_vertices // 2, g.num_vertices):
+            senders = np.sort(
+                rng.choice(g.num_vertices, size=size, replace=False)
+            ).astype(np.int64)
+            quiet = g.degrees() > 0
+            quiet[senders] = False
+            left_out = arc_indices(np.flatnonzero(quiet), g.row_ptr)
+            kept = np.setdiff1d(np.arange(g.num_arcs), left_out)
+            assert np.array_equal(kept, arc_indices(senders, g.row_ptr))
+            # The selection a program sees is the whole-arc slice.
+            assert select_arcs(senders, g.row_ptr, COMPLEMENT) == slice(
+                0, g.num_arcs
+            )
+
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    @pytest.mark.parametrize("graph_name", sorted(COMPLEMENT_GRAPHS))
+    def test_every_superstep_complement_matches_reference(
+        self, graph_name, name, selection_forms
+    ):
+        g = COMPLEMENT_GRAPHS[graph_name]()
+        ref = reference_run(g, name)
+        _, make_dense, args = PROGRAMS[name]
+        got = DenseBSPEngine(g, frontier_policy=ALWAYS_COMPLEMENT).run(
+            make_dense(*args)
+        )
+        assert_results_equal(ref, got)
+        assert set(selection_forms) <= {"complement", "full"}
+        assert len(selection_forms) == sum(
+            1 for sent in ref.messages_per_superstep if sent
+        )
+
+    def test_forms_reached(self, medium_graph, selection_forms):
+        """A one-vertex frontier leaves out almost every arc; CC's first
+        flood leaves out none (the full slice)."""
+        policy = ALWAYS_COMPLEMENT
+        DenseBSPEngine(medium_graph, frontier_policy=policy).run(
+            DenseBreadthFirstSearch(0)
+        )
+        assert selection_forms[0] == "complement"
+        del selection_forms[:]
+        DenseBSPEngine(medium_graph, frontier_policy=policy).run(
+            DenseConnectedComponents()
+        )
+        assert selection_forms[0] == "full"
+        assert "complement" in selection_forms[1:]
+
+    def test_auto_policy_takes_the_complement(self, medium_graph, selection_forms):
+        """CC's second superstep floods nearly every arc: the default
+        policy takes the complement there, and the result is unchanged."""
+        ref = reference_run(medium_graph, "cc")
+        got = DenseBSPEngine(medium_graph).run(DenseConnectedComponents())
+        assert_results_equal(ref, got)
+        assert selection_forms[:2] == ["full", "complement"]
+
+    def test_pagerank_is_bit_identical(self):
+        """Float sums: folding ``0.0`` at left-out arcs changes no bit."""
+        g = rmat(scale=8, edge_factor=8, seed=7)
+        aggs = lambda: {"dangling": SumAggregator()}  # noqa: E731
+        ref = BSPEngine(g, aggregators=aggs()).run(BSPPageRank(num_supersteps=6))
+        mask = DenseBSPEngine(
+            g, aggregators=aggs(), frontier_policy=FrontierPolicy(mode="dense")
+        ).run(DensePageRank(num_supersteps=6))
+        got = DenseBSPEngine(
+            g, aggregators=aggs(), frontier_policy=ALWAYS_COMPLEMENT
+        ).run(DensePageRank(num_supersteps=6))
+        assert_results_equal(ref, got, float_values=True)
+        assert np.array_equal(mask.values, got.values)
+
+    @given(random_graph(), st.integers(min_value=0, max_value=3**6 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_any_three_form_schedule_matches_reference(self, g, schedule):
+        """Sparse / mask / complement chosen per superstep by arbitrary
+        digits: CC and k-core stay bit-identical to the reference."""
+        forms = (SPARSE, DENSE, COMPLEMENT)
+        policy = ScheduledPolicy(
+            {s: forms[(schedule // 3**s) % 3] for s in range(6)}
+        )
+        for name in ("cc", "kcore"):
+            _, make_dense, args = PROGRAMS[name]
+            got = DenseBSPEngine(g, frontier_policy=policy).run(
+                make_dense(*args)
+            )
+            assert_results_equal(reference_run(g, name), got)
+
+    @pytest.mark.usefixtures("fan_out_every_superstep")
+    @pytest.mark.parametrize("partition", ["hash", "balanced-edge"])
+    @pytest.mark.parametrize("num_workers", [1, 2, 3, 4])
+    def test_sharded_every_superstep_complement(self, num_workers, partition):
+        for graph_name in ("rmat8", "isolated", "directed-weighted"):
+            g = COMPLEMENT_GRAPHS[graph_name]()
+            with ShardedBSPEngine(
+                g,
+                num_workers=num_workers,
+                partition=partition,
+                frontier_policy=ALWAYS_COMPLEMENT,
+            ) as engine:
+                for name in sorted(PROGRAMS):
+                    _, make_dense, args = PROGRAMS[name]
+                    got = engine.run(make_dense(*args))
+                    assert_results_equal(reference_run(g, name), got)
+
+    @pytest.mark.parametrize("name", ["rmat7", "isolated"])
+    def test_worker_complement_counts_selected_arcs(self, name):
+        """A worker's complement scatter: the whole shard as the
+        selection, its quiet rows left out of the histogram and of the
+        arc count it replies."""
+        g = (
+            rmat(scale=7, edge_factor=8, seed=3)
+            if name == "rmat7"
+            else COMPLEMENT_GRAPHS["isolated"]()
+        )
+        rng = np.random.default_rng(8)
+        with ShardedBSPEngine(g, num_workers=2) as engine:
+            marked = engine._senders
+            hist = engine._pool.arrays["hist"]
+            for w in range(2):
+                shard = _worker._Shard(
+                    dict(engine._pool.spec, worker_index=w), None
+                )
+                sub = shard.graph
+                try:
+                    for density in (0.0, 0.3, 0.9, 1.0):
+                        marked[:] = rng.random(g.num_vertices) < density
+                        senders = np.flatnonzero(marked & (sub.degrees() > 0))
+                        chosen = arc_indices(senders, sub.row_ptr)
+                        assert shard.scatter(1, COMPLEMENT) == chosen.size
+                        assert shard.sel == slice(0, sub.num_arcs)
+                        assert np.array_equal(
+                            hist[w],
+                            np.bincount(
+                                sub.col_idx[chosen], minlength=g.num_vertices
+                            ),
+                        )
+                finally:
+                    shard.close()
+
+    @pytest.mark.usefixtures("fan_out_every_superstep")
+    @pytest.mark.parametrize("kept", [False, True], ids=["graph", "kept"])
+    @pytest.mark.parametrize("engine_name", ["dense", "sharded"])
+    def test_payload_is_not_written_through(self, engine_name, kept):
+        """An unowned payload is copied before the identity fill, and
+        ``bytes_delivered`` counts the selected arcs, not ``m``: both
+        equal to a forced-mask run, superstep by superstep."""
+        g = COMPLEMENT_GRAPHS["directed-weighted"]()
+        weights = g.weights.copy()
+
+        def run(policy):
+            tel = Telemetry("t")
+            if engine_name == "dense":
+                engine = DenseBSPEngine(g, frontier_policy=policy, telemetry=tel)
+            else:
+                engine = ShardedBSPEngine(
+                    g, num_workers=2, frontier_policy=policy, telemetry=tel
+                )
+            with engine:
+                program = LightestInArc(0, kept=kept)
+                result = engine.run(program)
+            delivered = [
+                (c.superstep, c.value)
+                for c in tel.counters
+                if c.name == "bytes_delivered"
+            ]
+            return result, delivered, program
+
+        mask, mask_bytes, _ = run(FrontierPolicy(mode="dense"))
+        got, got_bytes, program = run(ALWAYS_COMPLEMENT)
+        assert_results_equal(mask, got)
+        assert np.isfinite(got.values).sum() > 1
+        assert got_bytes == mask_bytes and got_bytes
+        assert sum(v for _, v in got_bytes) < len(got_bytes) * g.num_arcs * 8
+        assert np.array_equal(g.weights, weights)
+        if kept and engine_name == "dense":
+            assert np.array_equal(program.lengths, weights)
+
+
+class TestSenderRange:
+    """A sender id outside ``[0, n)`` is an ``IndexError`` in every form
+    and on both engines — not a flood from vertex ``n - 1`` (mask,
+    bitmap) or numpy's "negative dimensions" (sparse)."""
+
+    @pytest.mark.usefixtures("fan_out_every_superstep")
+    @pytest.mark.parametrize("engine_name", ["dense", "sharded"])
+    @pytest.mark.parametrize(
+        "policy",
+        [FrontierPolicy(mode="sparse"), FrontierPolicy(mode="dense"),
+         ALWAYS_COMPLEMENT, FrontierPolicy()],
+        ids=["sparse", "dense", "complement", "auto"],
+    )
+    def test_out_of_range_sender_raises(self, medium_graph, policy, engine_name):
+        n = medium_graph.num_vertices
+        if engine_name == "dense":
+            engine = DenseBSPEngine(medium_graph, frontier_policy=policy)
+        else:
+            engine = ShardedBSPEngine(
+                medium_graph, num_workers=2, frontier_policy=policy
+            )
+        with engine:
+            for bad in (-1, n, -n - 1):
+                with pytest.raises(IndexError, match="sender vertex out of range"):
+                    engine.run(OutOfRangeSender(bad))
+            # The engine is still good for the next run.
+            got = engine.run(DenseConnectedComponents())
+        assert_results_equal(reference_run(medium_graph, "cc"), got)
+
+
 # -- telemetry counters ----------------------------------------------------
 
 
@@ -552,12 +867,28 @@ class TestWireFraming:
     @pytest.mark.parametrize("k", [0, 1, 7, 4096])
     def test_frame_sizes_are_pinned(self, k):
         senders = np.arange(k, dtype=np.int64)
-        for cmd, mode in (("scatter", SPARSE), ("gather", DENSE)):
+        for cmd, mode in (
+            ("scatter", SPARSE), ("gather", DENSE), ("scatter", COMPLEMENT)
+        ):
             assert frame_bytes((cmd, 3, senders, mode)) == 18 + 8 * k
         assert frame_bytes(("ok", *range(k % 256))) == 2 + 8 * (k % 256)
         assert frame_bytes(("ok", 5, 10**9, 2**40)) == TASK_REPLY_BYTES
         assert frame_bytes(("close",)) == 1
         assert frame_bytes(("error", "é" * k)) == 1 + 2 * k
+
+    def test_mode_codes_round_trip(self):
+        """Each frontier mode has its one-byte code (complement is 2);
+        any other code is a protocol error, not a guess."""
+        wire = PackedWire()
+        empty = np.empty(0, dtype=np.int64)
+        for code, mode in enumerate((SPARSE, DENSE, COMPLEMENT)):
+            frame = wire._encode(("scatter", 7, empty, mode))
+            assert len(frame) == 18 and frame[9] == code
+            assert wire._decode(frame)[::3] == ("scatter", mode)
+        unknown = bytearray(wire._encode(("gather", 7, empty, COMPLEMENT)))
+        unknown[9] = 3
+        with pytest.raises(WireFormatError, match="frontier-mode code 0x3"):
+            wire._decode(bytes(unknown))
 
     @pytest.mark.parametrize(
         "make_program",
