@@ -11,7 +11,9 @@ counts, plus the paper's reference values.
 :class:`Experiment` carries its run, its renderer, its ``--json``
 section and its scorecard criteria, whose checks sit beside their
 experiment below.  ``repro <name>``, ``repro all``, ``repro verify``
-and ``--json`` are walks over it.
+and ``--json`` are walks over it.  ``measured-vs-modeled``
+(:func:`run_measured_vs_modeled`) is the one entry that reads a clock,
+so it has neither a section nor criteria.
 """
 
 from __future__ import annotations
@@ -30,13 +32,28 @@ from repro.analysis.report import (
     format_table1,
 )
 from repro.analysis.verification import Criterion, verify_all
-from repro.analysis.workload import ExperimentConfig, build_workload, traced
-from repro.bsp_algorithms.bfs import BSPBFSResult
-from repro.bsp_algorithms.connected_components import BSPComponentsResult
+from repro.analysis.workload import (
+    ExperimentConfig,
+    Workload,
+    build_workload,
+    traced,
+)
+from repro.bsp import BSPEngine, make_engine
+from repro.bsp_algorithms.bfs import (
+    BSPBFSResult,
+    BSPBreadthFirstSearch,
+    bsp_breadth_first_search,
+)
+from repro.bsp_algorithms.connected_components import (
+    BSPComponentsResult,
+    BSPConnectedComponents,
+    bsp_connected_components,
+)
 from repro.bsp_algorithms.triangles import BSPTriangleResult
 from repro.graphct.bfs import BFSResult
 from repro.graphct.connected_components import ComponentsResult
 from repro.graphct.triangles import TriangleResult
+from repro.telemetry.core import MAIN_TRACK, Telemetry
 from repro.xmt.cost_model import simulate
 from repro.xmt.trace import WorkTrace
 
@@ -50,11 +67,14 @@ __all__ = [
     "Fig2Result",
     "Fig3Result",
     "Fig4Result",
+    "MEASURED_ENGINES",
+    "MeasuredVsModeledResult",
     "Table1Result",
     "run_fig1",
     "run_fig2",
     "run_fig3",
     "run_fig4",
+    "run_measured_vs_modeled",
     "run_table1",
 ]
 
@@ -861,6 +881,155 @@ def _render_graph500(res: Any, paper_scale: bool, chart: bool) -> str:
     return "\n".join(lines)
 
 
+# ----------------------------------------------------------------------
+# Measured vs. modeled — each engine's wall clock beside the model
+# ----------------------------------------------------------------------
+#: The measured columns: ``make_engine`` ``(mode, num_workers)`` by name;
+#: ``None`` is the per-vertex reference :class:`~repro.bsp.BSPEngine`.
+MEASURED_ENGINES: dict[str, tuple[str, int | None] | None] = {
+    "reference": None,
+    "dense": ("dense", None),
+    "sharded W=1": ("sharded", 1),
+    "sharded W=2": ("sharded", 2),
+}
+
+
+@dataclass
+class MeasuredVsModeledResult:
+    """CC and BFS per superstep: the model's price beside the wall clock
+    of every engine that ran them."""
+
+    config: ExperimentConfig
+    #: ``{"cc" | "bfs": the memoized traced() run}`` — the model side.
+    modeled: dict[str, Any]
+    #: ``{algorithm: {superstep: seconds}}`` at the largest processor
+    #: count, and the same with work extrapolated to the paper's scale.
+    modeled_seconds: dict[str, dict[int, float]]
+    modeled_seconds_paper_scale: dict[str, dict[int, float]]
+    #: ``{algorithm: {engine: (work trace, telemetry)}}`` — the measured
+    #: side, one run per :data:`MEASURED_ENGINES` entry.
+    measured: dict[str, dict[str, tuple[WorkTrace, Telemetry]]]
+
+    def rows(self, algorithm: str, *, paper_scale: bool = False) -> list[dict]:
+        """One row per superstep, joined on its index: ``active``,
+        ``sent``, ``modeled`` seconds, each engine's measured seconds and
+        where the W = 2 engine ran it (``parent``, ``workers``, or ``-``
+        when nothing was sent)."""
+        run = self.modeled[algorithm]
+        modeled = (
+            self.modeled_seconds_paper_scale if paper_scale
+            else self.modeled_seconds
+        )[algorithm]
+        measured = {
+            engine: {
+                s.superstep: s.duration_seconds
+                for s in tel.spans_named("superstep", track=MAIN_TRACK)
+            }
+            for engine, (_, tel) in self.measured[algorithm].items()
+        }
+        _, sharded = self.measured[algorithm]["sharded W=2"]
+        local = {
+            c.superstep: c.value
+            for c in sharded.counters if c.name == "local_superstep"
+        }
+        return [
+            {
+                "superstep": i,
+                "active": active,
+                "sent": sent,
+                "modeled": modeled[i],
+                **{engine: by_step[i] for engine, by_step in measured.items()},
+                "placement": (
+                    ("parent" if local[i] else "workers") if i in local
+                    else "-"
+                ),
+            }
+            for i, (active, sent) in enumerate(
+                zip(run.active_per_superstep, run.messages_per_superstep)
+            )
+        ]
+
+
+def _measure(
+    wl: Workload, algorithm: str, engine: tuple[str, int | None] | None
+) -> tuple[WorkTrace, Telemetry]:
+    """Run ``algorithm`` on ``engine`` with a :class:`Telemetry` on."""
+    tel = Telemetry(f"{algorithm} {engine}")
+    graph, source = wl.graph, wl.bfs_source
+    if engine is None:
+        program = (
+            BSPConnectedComponents() if algorithm == "cc"
+            else BSPBreadthFirstSearch(source)
+        )
+        result = BSPEngine(graph, telemetry=tel).run(
+            program, trace_label=f"bsp/{algorithm}"
+        )
+        return result.trace, tel
+    mode, workers = engine
+    with make_engine(graph, mode, num_workers=workers, telemetry=tel) as eng:
+        run = (
+            bsp_connected_components(graph, engine=eng) if algorithm == "cc"
+            else bsp_breadth_first_search(graph, source, engine=eng)
+        )
+    return run.trace, tel
+
+
+def run_measured_vs_modeled(
+    config: ExperimentConfig | None = None,
+) -> MeasuredVsModeledResult:
+    """Price CC and BFS per superstep at the largest processor count and
+    run each on every engine of :data:`MEASURED_ENGINES`."""
+    wl = build_workload(config)
+    top = max(wl.config.processor_counts)
+    res = MeasuredVsModeledResult(wl.config, {}, {}, {}, {})
+    for algorithm in ("cc", "bfs"):
+        run = res.modeled[algorithm] = traced(f"bsp_{algorithm}", wl.config)
+        for extrapolate, out in (
+            (False, res.modeled_seconds),
+            (True, res.modeled_seconds_paper_scale),
+        ):
+            sweep = _sweep(run.trace, wl.config, extrapolate=extrapolate)
+            out[algorithm] = sweep[top]["by_iteration"]
+        res.measured[algorithm] = {
+            name: _measure(wl, algorithm, engine)
+            for name, engine in MEASURED_ENGINES.items()
+        }
+    return res
+
+
+def _render_measured_vs_modeled(
+    res: MeasuredVsModeledResult, paper_scale: bool, chart: bool
+) -> str:
+    top = max(res.config.processor_counts)
+    out = []
+    for algorithm in res.modeled:
+        rows = res.rows(algorithm, paper_scale=paper_scale)
+        total = {
+            key: sum(r[key] for r in rows)
+            for key in ("active", "sent", "modeled", *MEASURED_ENGINES)
+        }
+        rows.append({**total, "superstep": "all", "placement": ""})
+        out.append(format_series(
+            f"Measured vs. modeled: BSP {algorithm.upper()} per superstep "
+            f"(RMAT scale {res.config.scale}"
+            + (", paper-scale work)" if paper_scale else ")"),
+            [r["superstep"] for r in rows],
+            ("active", [r["active"] for r in rows]),
+            ("sent", [r["sent"] for r in rows]),
+            (f"modeled P={top}", [format_seconds(r["modeled"]) for r in rows]),
+            *(
+                (engine, [format_seconds(r[engine]) for r in rows])
+                for engine in MEASURED_ENGINES
+            ),
+            ("W=2 ran in", [r["placement"] for r in rows]),
+        ))
+    out.append(
+        "modeled: simulated Cray XMT seconds; the engine columns: this "
+        "host's wall clock of each superstep span (ungraded)"
+    )
+    return "\n\n".join(out)
+
+
 def _ablation(name: str) -> Experiment:
     """``ablation-<name>``: prints the dictionary returned by
     ``repro.analysis.ablations.run_<name>``, imported only when it runs."""
@@ -942,6 +1111,9 @@ EXPERIMENTS: dict[str, Experiment] = {
         ),
     ),
     "graph500": Experiment(_run_graph500, _render_graph500),
+    "measured-vs-modeled": Experiment(
+        run_measured_vs_modeled, _render_measured_vs_modeled
+    ),
     "verify": Experiment(
         verify_all, lambda report, paper_scale, chart: report.render()
     ),

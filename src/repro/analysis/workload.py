@@ -54,12 +54,16 @@ class ExperimentConfig:
     paper_scale: int = 24
 
     def __post_init__(self) -> None:
+        if self.scale < 0:
+            raise ValueError("scale must be >= 0")
+        if self.edge_factor < 1:
+            raise ValueError("edge_factor must be >= 1")
         if not self.processor_counts:
             raise ValueError("processor_counts must be non-empty")
         if any(p < 1 for p in self.processor_counts):
             raise ValueError("processor counts must be positive")
         if self.paper_scale < self.scale:
-            raise ValueError("paper_scale must be >= scale")
+            raise ValueError(f"scale must be <= paper_scale ({self.paper_scale})")
 
     @property
     def extrapolation_factor(self) -> float:

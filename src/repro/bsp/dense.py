@@ -281,7 +281,7 @@ class DenseBSPEngine:
     :class:`~repro.bsp.engine.BSPResult`, same checkpoint/resume
     contract — but executes supersteps as vectorized array kernels, which
     is orders of magnitude faster on reproduction-scale graphs (compare
-    ``repro profile --engine reference`` with ``--engine dense``).
+    the reference and dense columns of ``repro measured-vs-modeled``).
 
     Parameters
     ----------

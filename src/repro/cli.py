@@ -9,18 +9,18 @@ Renders each of the paper's experiments as ASCII tables::
     python -m repro.cli fig4              # triangle-counting scaling
     python -m repro.cli anecdotes         # distributed-system anecdotes
     python -m repro.cli graph500          # validated batch BFS + TEPS
+    python -m repro.cli measured-vs-modeled  # wall clock beside the model
     python -m repro.cli verify            # executable claim scorecard
     python -m repro.cli all               # fig1..fig4, table1, anecdotes
     python -m repro.cli ablation-combiner # one of EXPERIMENTS.md's ablations
-    python -m repro.cli profile ...       # wall-clock telemetry profiling
     python -m repro.cli serve ...         # long-lived graph-analytics server
     python -m repro.cli check ...         # BSP program linter / contracts
     python -m repro.cli top ...           # live per-worker engine view
     python -m repro.cli version           # exact package version
 
-``profile`` is its own subcommand (see :mod:`repro.telemetry.profile`):
-it runs one algorithm with telemetry enabled and writes a Chrome trace
-plus a measured-vs-modeled report.  ``serve`` (see :mod:`repro.service.cli`)
+``measured-vs-modeled`` runs CC and BFS on every engine with telemetry on
+and prints each superstep's wall clock beside the model's price of it.
+``serve`` (see :mod:`repro.service.cli`)
 loads one graph into the sharded engine's shared-memory CSR and serves
 algorithm jobs over HTTP — submit, poll, fetch results / telemetry /
 traces.  ``check`` (see :mod:`repro.check.cli`) statically lints vertex
@@ -83,10 +83,6 @@ def collect_results(config: ExperimentConfig) -> dict:
 def main(argv: list[str] | None = None) -> int:
     """Entry point for ``python -m repro.cli`` / ``repro-experiments``."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "profile":
-        from repro.telemetry.profile import main as profile_main
-
-        return profile_main(argv[1:])
     if argv and argv[0] == "serve":
         from repro.service.cli import main as serve_main
 
@@ -125,9 +121,12 @@ def main(argv: list[str] | None = None) -> int:
         help="also write all experiment data as JSON (use '-' for stdout)",
     )
     args = parser.parse_args(argv)
-    config = ExperimentConfig(
-        scale=args.scale, edge_factor=args.edge_factor, seed=args.seed
-    )
+    try:
+        config = ExperimentConfig(
+            scale=args.scale, edge_factor=args.edge_factor, seed=args.seed
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
 
     if args.json is not None:
         payload = json.dumps(collect_results(config), indent=2, default=float)

@@ -7,25 +7,16 @@ GraphCT workflow, recording wall-clock spans (superstep, scatter,
 gather, combine, barrier, kernel) and counter samples (active vertices,
 messages, bytes moved, per-worker busy/wait), and exports them as a
 Chrome trace (Perfetto-loadable) or a structured JSON report.
-:mod:`~repro.telemetry.compare` joins the measured spans with the
-modeled :class:`~repro.xmt.trace.WorkTrace` regions by superstep index,
-so measured-vs-modeled ratios are first-class.
 
 Engines default to :data:`NULL_TELEMETRY`, the no-op twin — the
 disabled path records nothing, reads no clock, and leaves results and
 modeled traces bit-identical.
 
-The ``repro profile`` CLI subcommand (:mod:`repro.telemetry.profile`)
-runs any algorithm on any engine with telemetry on and writes the trace
-plus a measured-vs-modeled summary; see ``docs/OBSERVABILITY.md``.
+``repro measured-vs-modeled`` runs CC and BFS on every engine with a
+:class:`Telemetry` and prints each superstep's wall clock beside the
+model's price of it; see ``docs/OBSERVABILITY.md``.
 """
 
-from repro.telemetry.compare import (
-    SpanCorrelation,
-    correlate,
-    format_measured_vs_modeled,
-    measured_vs_modeled,
-)
 from repro.telemetry.core import (
     MAIN_TRACK,
     NULL_TELEMETRY,
@@ -34,7 +25,6 @@ from repro.telemetry.core import (
     Span,
     Telemetry,
     peak_rss_bytes,
-    tracemalloc_peak_bytes,
     worker_track,
 )
 from repro.telemetry.export import (
@@ -85,17 +75,13 @@ __all__ = [
     "NullTelemetry",
     "RingWriter",
     "Span",
-    "SpanCorrelation",
     "StallWatchdog",
     "StructuredLogger",
     "Telemetry",
     "chrome_trace",
-    "correlate",
     "decode_ring",
-    "format_measured_vs_modeled",
     "list_postmortems",
     "load_postmortem",
-    "measured_vs_modeled",
     "memory_summary",
     "metrics_snapshot",
     "peak_rss_bytes",
@@ -104,6 +90,5 @@ __all__ = [
     "save_chrome_trace",
     "save_report",
     "telemetry_report",
-    "tracemalloc_peak_bytes",
     "worker_track",
 ]

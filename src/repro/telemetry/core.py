@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import sys
 import time
-import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
@@ -35,7 +34,6 @@ __all__ = [
     "Span",
     "Telemetry",
     "peak_rss_bytes",
-    "tracemalloc_peak_bytes",
     "worker_track",
 ]
 
@@ -63,22 +61,6 @@ def peak_rss_bytes() -> int | None:
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     # ru_maxrss is kilobytes on Linux, bytes on macOS.
     return int(rss) * (1 if sys.platform == "darwin" else 1024)
-
-
-def tracemalloc_peak_bytes(*, reset: bool = False) -> int | None:
-    """Peak Python-heap allocation since tracing (or the last reset).
-
-    Returns ``None`` unless :mod:`tracemalloc` is tracing — callers opt
-    into the tracing overhead explicitly (``repro profile`` does).
-    With ``reset``, the peak accumulator restarts so the next reading
-    covers only the interval since this one (per-superstep peaks).
-    """
-    if not tracemalloc.is_tracing():
-        return None
-    _, peak = tracemalloc.get_traced_memory()
-    if reset:
-        tracemalloc.reset_peak()
-    return int(peak)
 
 
 @dataclass(frozen=True)
@@ -245,28 +227,15 @@ class Telemetry:
     def sample_memory(
         self, *, track: int = MAIN_TRACK, superstep: int = -1
     ) -> None:
-        """Record the process memory footprint as counter samples.
-
-        Emits ``peak_rss_bytes`` (always, one syscall) and
-        ``tracemalloc_peak_bytes`` (only while :mod:`tracemalloc` is
-        tracing — the tracemalloc peak accumulator is reset so each
-        sample covers the interval since the previous one).  Engines
-        call this once per superstep / kernel inside their
-        ``telemetry.enabled`` branch, so the disabled path never pays
-        for it.
+        """Record the process's ``peak_rss_bytes`` as a counter sample
+        (one syscall).  Engines call this once per superstep / kernel
+        inside their ``telemetry.enabled`` branch, so the disabled path
+        never pays for it.
         """
         rss = peak_rss_bytes()
         if rss is not None:
             self.counter(
                 "peak_rss_bytes", rss, track=track, superstep=superstep
-            )
-        heap = tracemalloc_peak_bytes(reset=True)
-        if heap is not None:
-            self.counter(
-                "tracemalloc_peak_bytes",
-                heap,
-                track=track,
-                superstep=superstep,
             )
 
     # -- queries -------------------------------------------------------

@@ -10,7 +10,7 @@ Two machine-readable renditions of one :class:`~repro.telemetry.core.Telemetry`:
   become ``"ph": "C"`` counter tracks.
 * :func:`telemetry_report` — a schema-versioned dictionary with the raw
   spans, counters, and per-name summary statistics, for programmatic
-  consumption (the ``repro profile`` report embeds it).
+  consumption (``repro serve``'s telemetry endpoint returns it).
 
 Timestamps are exported in microseconds relative to the telemetry
 object's construction, so traces start near zero regardless of the
@@ -133,9 +133,7 @@ def chrome_trace(telemetry: Telemetry) -> dict:
 def memory_summary(telemetry: Telemetry) -> dict:
     """Peak memory footprint derived from the memory counter samples.
 
-    Returns ``peak_rss_bytes`` / ``tracemalloc_peak_bytes`` maxima over
-    the main track (``tracemalloc_peak_bytes`` samples are per-interval
-    peaks, so the overall peak is their maximum) and a
+    Returns the ``peak_rss_bytes`` maximum over the main track and a
     ``worker_peak_rss_bytes`` map for shard workers.  Empty dict when no
     memory samples were recorded (telemetry off, or an engine predating
     the memory hooks).
@@ -143,7 +141,7 @@ def memory_summary(telemetry: Telemetry) -> dict:
     out: dict = {}
     workers: dict[str, int] = {}
     for c in telemetry.counters:
-        if c.name in ("peak_rss_bytes", "tracemalloc_peak_bytes"):
+        if c.name == "peak_rss_bytes":
             if c.track == MAIN_TRACK:
                 out[c.name] = max(out.get(c.name, 0), int(c.value))
         elif c.name == "worker_peak_rss_bytes":

@@ -14,6 +14,13 @@ from repro.analysis import (
     run_table1,
 )
 from repro.analysis import ablations
+from repro.analysis.experiments import (
+    EXPERIMENTS,
+    MEASURED_ENGINES,
+    run_measured_vs_modeled,
+)
+from repro.analysis.workload import traced
+from repro.telemetry.core import MAIN_TRACK
 
 #: Small but non-trivial config shared by every experiment test.
 CONFIG = ExperimentConfig(scale=11, edge_factor=16, seed=1)
@@ -55,6 +62,10 @@ class TestConfig:
             ExperimentConfig(processor_counts=(0,))
         with pytest.raises(ValueError):
             ExperimentConfig(scale=25, paper_scale=24)
+        with pytest.raises(ValueError, match="scale"):
+            ExperimentConfig(scale=-3)
+        with pytest.raises(ValueError, match="edge_factor"):
+            ExperimentConfig(edge_factor=0)
 
     def test_workload_cached(self):
         a = build_workload(CONFIG)
@@ -68,6 +79,66 @@ class TestConfig:
         reached = reachable_from(wl.graph, wl.bfs_source)
         deg = wl.graph.degrees()
         assert reached.sum() > 0.5 * np.count_nonzero(deg > 0)
+
+
+class TestMeasuredVsModeled:
+    """The runtime beside the model: every engine runs the supersteps the
+    model priced, one row each."""
+
+    CONFIG = ExperimentConfig(scale=10, edge_factor=16, seed=1)
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        return run_measured_vs_modeled(self.CONFIG)
+
+    @pytest.mark.parametrize("engine", list(MEASURED_ENGINES))
+    @pytest.mark.parametrize("algorithm", ["cc", "bfs"])
+    def test_engine_trace_equals_traced(self, result, algorithm, engine):
+        modeled = traced(f"bsp_{algorithm}", self.CONFIG)
+        trace, tel = result.measured[algorithm][engine]
+        assert trace == modeled.trace
+        steps = tel.spans_named("superstep", track=MAIN_TRACK)
+        assert [s.superstep for s in steps] == list(
+            range(modeled.num_supersteps)
+        )
+
+    def test_one_rendered_row_per_superstep(self, result):
+        text = EXPERIMENTS["measured-vs-modeled"].render(result, False, False)
+        tables = text.split("\n\n")[:-1]
+        assert len(tables) == len(result.modeled) == 2
+        for table, run in zip(tables, result.modeled.values()):
+            # title, underline, header, rule; then the rows and a total.
+            labels = [line.split()[0] for line in table.splitlines()[4:]]
+            assert labels == [
+                *map(str, range(run.num_supersteps)), "all"
+            ]
+            assert "reference" in table and "sharded W=2" in table
+
+    @pytest.mark.parametrize("algorithm", ["cc", "bfs"])
+    def test_placement_is_the_local_superstep_counter(self, result, algorithm):
+        _, tel = result.measured[algorithm]["sharded W=2"]
+        local = {
+            c.superstep: c.value
+            for c in tel.counters if c.name == "local_superstep"
+        }
+        placement = {
+            row["superstep"]: row["placement"]
+            for row in result.rows(algorithm)
+        }
+        assert "workers" in placement.values()
+        assert placement == {
+            i: ("-" if i not in local else
+                "parent" if local[i] else "workers")
+            for i in placement
+        }
+
+    def test_paper_scale_reprices_only_the_model(self, result):
+        plain = result.rows("cc")
+        scaled = result.rows("cc", paper_scale=True)
+        assert [r["dense"] for r in plain] == [r["dense"] for r in scaled]
+        assert sum(r["modeled"] for r in scaled) > sum(
+            r["modeled"] for r in plain
+        )
 
 
 class TestFig1:

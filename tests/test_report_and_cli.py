@@ -121,6 +121,24 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["fig9"])
 
+    @pytest.mark.parametrize(
+        "bad", [["--scale", "25"], ["--scale", "-3"], ["--edge-factor", "0"]],
+        ids=["scale-above-paper", "negative-scale", "zero-edge-factor"],
+    )
+    def test_bad_workload_is_a_usage_error(self, bad, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fig1", *bad])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("repro: error: ")
+        assert "Traceback" not in err
+
+    def test_profile_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["profile"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'profile'" in capsys.readouterr().err
+
     def test_json_export(self, tmp_path, capsys):
         path = tmp_path / "results.json"
         assert main(["table1", *self.ARGS, "--json", str(path)]) == 0

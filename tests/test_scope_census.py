@@ -209,7 +209,7 @@ _PY_FILE = re.compile(r"[\w./-]*\w\.py\b")
 #: such as ``ablation-<name>`` names nothing.
 _CLI_NAME = re.compile(r"(?:python -m repro\.cli|`repro) ([a-z][\w-]*\w)(?![\w<-])")
 #: ``repro`` commands outside the experiment table.
-SUBCOMMANDS = {"all", "profile", "serve", "check", "top", "version"}
+SUBCOMMANDS = {"all", "serve", "check", "top", "version"}
 
 
 def _resolves(dotted: str) -> bool:

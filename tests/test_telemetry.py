@@ -2,9 +2,9 @@
 
 Covers the core span/counter recorder (with a deterministic fake
 clock), the Chrome-trace and report exports, the disabled-mode no-op
-guarantees, per-worker attribution on the sharded engine, the
-measured-vs-modeled correlation, and the equivalence guard: telemetry
-must never perturb results, histories, or modeled work traces.
+guarantees, per-worker attribution on the sharded engine, and the
+equivalence guard: telemetry must never perturb results, histories, or
+modeled work traces.
 """
 
 import json
@@ -28,18 +28,12 @@ from repro.bsp_algorithms.connected_components import (
 from repro.bsp_algorithms.triangles import bsp_count_triangles
 from repro.graph import rmat
 from repro.graphct.framework import GraphCT
-from repro.telemetry.compare import (
-    correlate,
-    format_measured_vs_modeled,
-    measured_vs_modeled,
-)
 from repro.telemetry.core import (
     MAIN_TRACK,
     NULL_TELEMETRY,
     Span,
     Telemetry,
     peak_rss_bytes,
-    tracemalloc_peak_bytes,
     worker_track,
 )
 from repro.telemetry.export import (
@@ -47,7 +41,6 @@ from repro.telemetry.export import (
     memory_summary,
     telemetry_report,
 )
-from repro.xmt.machine import XMTMachine
 
 
 class FakeClock:
@@ -270,6 +263,29 @@ class TestEngineInstrumentation:
             busy
         )
 
+    @pytest.mark.usefixtures("fan_out_every_superstep")
+    def test_sharded_barrier_and_combine_inside_their_superstep(self, graph):
+        tel = Telemetry("cc-sharded")
+        _cc_run(graph, ShardedBSPEngine, telemetry=tel, num_workers=2)
+        steps = tel.spans_named("superstep", track=MAIN_TRACK)
+        for name in ("barrier", "combine"):
+            spans = tel.spans_named(name, track=MAIN_TRACK)
+            assert spans, f"no {name} spans"
+            for sp in spans:
+                assert steps[sp.superstep].contains(sp)
+
+    @pytest.mark.usefixtures("fan_out_every_superstep")
+    def test_sharded_chrome_trace_has_worker_rows(self, graph):
+        tel = Telemetry("cc-sharded")
+        _cc_run(graph, ShardedBSPEngine, telemetry=tel, num_workers=2)
+        events = json.loads(json.dumps(chrome_trace(tel)))["traceEvents"]
+        names = {
+            e["args"]["name"]
+            for e in events
+            if e["ph"] == "M" and e["name"] == "thread_name"
+        }
+        assert names == {"engine", "worker 0", "worker 1"}
+
     def test_equivalence_guard_dense(self, graph):
         plain = _cc_run(graph, DenseBSPEngine)
         tel = Telemetry("cc")
@@ -352,44 +368,12 @@ class TestMemorySampling:
         rss = peak_rss_bytes()
         assert rss is not None and rss > 0
 
-    def test_tracemalloc_requires_tracing(self):
-        import tracemalloc
-
-        assert not tracemalloc.is_tracing()
-        assert tracemalloc_peak_bytes() is None
-        tracemalloc.start()
-        try:
-            blob = bytearray(1 << 20)
-            peak = tracemalloc_peak_bytes(reset=True)
-            assert peak is not None and peak >= len(blob)
-            del blob
-            # Re-arm after freeing: the next interval no longer
-            # includes the old megabyte peak.
-            tracemalloc_peak_bytes(reset=True)
-            assert tracemalloc_peak_bytes() < 1 << 20
-        finally:
-            tracemalloc.stop()
-
     def test_sample_memory_records_counters(self):
         tel = Telemetry("mem")
         tel.sample_memory(superstep=3)
-        (c,) = [c for c in tel.counters if c.name == "peak_rss_bytes"]
+        (c,) = tel.counters
+        assert c.name == "peak_rss_bytes"
         assert c.value > 0 and c.superstep == 3 and c.track == MAIN_TRACK
-        assert not [
-            c for c in tel.counters if c.name == "tracemalloc_peak_bytes"
-        ]
-
-    def test_sample_memory_includes_heap_when_tracing(self):
-        import tracemalloc
-
-        tel = Telemetry("mem")
-        tracemalloc.start()
-        try:
-            tel.sample_memory(superstep=0)
-        finally:
-            tracemalloc.stop()
-        names = {c.name for c in tel.counters}
-        assert {"peak_rss_bytes", "tracemalloc_peak_bytes"} <= names
 
     def test_null_telemetry_sample_memory_is_inert(self):
         NULL_TELEMETRY.sample_memory(superstep=1)
@@ -447,148 +431,3 @@ class TestMemorySampling:
         assert set(summary["worker_peak_rss_bytes"]) == {"0", "1"}
         report = telemetry_report(tel)
         assert report["memory"] == summary
-
-
-# ---------------------------------------------------------------------
-# Measured vs modeled
-# ---------------------------------------------------------------------
-class TestCorrelation:
-    def test_correlate_joins_on_superstep(self, graph):
-        tel = Telemetry("cc")
-        res = bsp_connected_components(
-            graph, engine=make_engine(graph, telemetry=tel)
-        )
-        rows = correlate(tel, res.trace, XMTMachine())
-        assert [r.superstep for r in rows] == list(
-            range(res.num_supersteps)
-        )
-        for r in rows:
-            assert r.regions and r.measured_seconds > 0
-            assert r.modeled_seconds > 0 and r.ratio is not None
-
-    @pytest.mark.usefixtures("fan_out_every_superstep")
-    def test_correlate_sharded_two_workers(self, graph):
-        tel = Telemetry("cc-sharded")
-        res = _cc_run(
-            graph, ShardedBSPEngine, telemetry=tel, num_workers=2
-        )
-        # The parallel barrier/combine machinery is instrumented...
-        assert tel.spans_named("barrier", track=MAIN_TRACK)
-        assert tel.spans_named("combine", track=MAIN_TRACK)
-        # ...and the join still lines up superstep for superstep: the
-        # sharded engine replays the same program, so the modeled trace
-        # correlates against measured sharded supersteps unchanged.
-        rows = correlate(tel, res.trace, XMTMachine())
-        assert [r.superstep for r in rows] == list(
-            range(res.num_supersteps)
-        )
-        for r in rows:
-            assert r.regions and r.measured_seconds > 0
-            assert r.modeled_seconds > 0 and r.ratio is not None
-        # Barrier + combine wall-clock is part of the measured superstep.
-        steps = tel.spans_named("superstep", track=MAIN_TRACK)
-        for name in ("barrier", "combine"):
-            for sp in tel.spans_named(name, track=MAIN_TRACK):
-                assert steps[sp.superstep].contains(sp)
-
-    def test_missing_measured_side_is_visible(self, graph):
-        res = bsp_connected_components(graph)
-        rows = correlate(Telemetry("empty"), res.trace, XMTMachine())
-        assert rows and all(r.span.category == "missing" for r in rows)
-        assert all(r.measured_seconds == 0.0 for r in rows)
-
-    def test_table_renders(self, graph):
-        tel = Telemetry("cc")
-        res = bsp_connected_components(
-            graph, engine=make_engine(graph, telemetry=tel)
-        )
-        rows = measured_vs_modeled(tel, res.trace, XMTMachine())
-        table = format_measured_vs_modeled(
-            rows, processors=128, title="cc"
-        )
-        assert "meas/model" in table and "all" in table
-        # title + header + 2 separators + totals row around the rows
-        assert len(table.splitlines()) == len(rows) + 5
-
-
-# ---------------------------------------------------------------------
-# The profile CLI
-# ---------------------------------------------------------------------
-class TestProfileCLI:
-    def test_profile_writes_artifacts(self, tmp_path, capsys):
-        from repro.cli import main
-
-        rc = main(
-            [
-                "profile",
-                "--algorithm", "cc",
-                "--engine", "dense",
-                "--scale", "8",
-                "--out-dir", str(tmp_path),
-            ]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "meas/model" in out
-        trace = json.loads((tmp_path / "trace_cc-dense.json").read_text())
-        assert any(e["ph"] == "X" for e in trace["traceEvents"])
-        report = json.loads(
-            (tmp_path / "profile_cc-dense.json").read_text()
-        )
-        assert report["schema_version"] == 1
-        assert report["config"]["algorithm"] == "cc"
-        assert report["measured_vs_modeled"]
-        assert report["telemetry"]["spans"]
-        # Memory footprint block: tracemalloc is on by default.
-        assert report["memory"]["peak_rss_bytes"] > 0
-        assert report["memory"]["tracemalloc_peak_bytes"] > 0
-        assert "memory  peak_rss_bytes:" in out
-
-    def test_profile_no_tracemalloc_flag(self, tmp_path, capsys):
-        from repro.telemetry.profile import main
-
-        rc = main(
-            [
-                "--algorithm", "cc",
-                "--engine", "reference",
-                "--scale", "8",
-                "--no-tracemalloc",
-                "--out-dir", str(tmp_path),
-            ]
-        )
-        assert rc == 0
-        report = json.loads(
-            (tmp_path / "profile_cc-reference.json").read_text()
-        )
-        assert report["memory"]["peak_rss_bytes"] > 0
-        assert "tracemalloc_peak_bytes" not in report["memory"]
-
-    @pytest.mark.usefixtures("fan_out_every_superstep")
-    def test_profile_sharded_has_worker_rows(self, tmp_path, capsys):
-        from repro.telemetry.profile import main
-
-        rc = main(
-            [
-                "--algorithm", "cc",
-                "--engine", "sharded",
-                "--workers", "2",
-                "--scale", "8",
-                "--out-dir", str(tmp_path),
-            ]
-        )
-        assert rc == 0
-        trace = json.loads(
-            (tmp_path / "trace_cc-sharded-w2.json").read_text()
-        )
-        names = {
-            e["args"]["name"]
-            for e in trace["traceEvents"]
-            if e["ph"] == "M" and e["name"] == "thread_name"
-        }
-        assert {"engine", "worker 0", "worker 1"} <= names
-        report = json.loads(
-            (tmp_path / "profile_cc-sharded-w2.json").read_text()
-        )
-        workers = report["memory"]["worker_peak_rss_bytes"]
-        assert set(workers) == {"0", "1"}
-        assert all(v > 0 for v in workers.values())
