@@ -4,8 +4,11 @@ A worker owns one vertex shard and its out-arcs (its graph is the shard's
 sub-CSR) and serves one task per frame (:mod:`repro.bsp._wire`) until
 told to close:
 
-* ``run`` attaches the run's shared blocks (values, this worker's slice
-  of the per-destination output, and in check mode its shadow slice);
+* ``run`` views the run's shared blocks with the run's dtypes (values,
+  this worker's slice of the per-destination output, and in check mode
+  its shadow slice).  The blocks belong to the engine and outlive runs:
+  a block is attached once per name, and a superseded one (the parent
+  replaced it with a larger block) has its mapping closed;
 * ``scatter`` reads the shard's senders off the shared ``senders``
   bitmap the parent marked, selects their out-arcs (a complement: the
   whole shard less the rows of its quiet vertices), publishes the
@@ -78,29 +81,30 @@ class _Shard:
         m, shard = bounds[-1], slice(bounds[w], bounds[w + 1])
         self.ring = ring
         self._static: list[shared_memory.SharedMemory] = []
-        self._run_blocks: list[shared_memory.SharedMemory] = []
+        # The engine's run blocks this worker has attached, by name.
+        self._run_blocks: dict[str, shared_memory.SharedMemory] = {}
+
+        def static(name: str) -> shared_memory.SharedMemory:
+            self._static.append(shared_memory.SharedMemory(name=name))
+            return self._static[-1]
 
         def arcs(key: str, dtype: Any) -> np.ndarray:
-            return self._view(self._static, spec[key], m, dtype)[shard]
+            return self._view(static(spec[key]), m, dtype)[shard]
 
         # The shard's out-arcs over the global vertex ids (other workers'
         # rows are empty): per-arc sources stay global, sweeps are O(m / W).
         self.graph = CSRGraph(
-            self._view(self._static, spec["row_ptr"], n + 1, np.int64, row=w),
+            self._view(static(spec["row_ptr"]), n + 1, np.int64, row=w),
             arcs("col_idx", np.int64),
             arcs("weights", np.float64) if spec["weights"] else None,
             directed=True,
             sorted_adjacency=spec["sorted_adjacency"],
         )
-        self.hist_out = self._view(
-            self._static, spec["hist"], n, np.int64, row=w
-        )
+        self.hist_out = self._view(static(spec["hist"]), n, np.int64, row=w)
         # The parent's sender bitmap, read-only here: a worker must not
         # corrupt the next superstep's selection.  Other workers' rows are
         # empty in this sub-CSR, so a marked vertex with out-arcs is ours.
-        self.senders = self._view(
-            self._static, spec["senders"], n, np.bool_
-        )
+        self.senders = self._view(static(spec["senders"]), n, np.bool_)
         self.senders.setflags(write=False)
         self.owned = self.graph.degrees() > 0
         # Set by run() / scatter(); the parent always sends those first.
@@ -115,21 +119,18 @@ class _Shard:
 
     @staticmethod
     def _view(
-        keep: list[shared_memory.SharedMemory],
-        name: str,
+        shm: shared_memory.SharedMemory,
         length: int,
         dtype: Any,
         row: int = 0,
     ) -> np.ndarray:
-        """Row ``row`` of the ``(rows, length)`` array in block ``name``.
+        """Row ``row`` of a ``(rows, length)`` array in block ``shm``.
 
         Attaching needs no resource-tracker gymnastics: workers (fork and
         spawn alike) inherit the parent's tracker, whose per-type set
         deduplicates their registrations against the parent's create-time
         one; unregistering here would corrupt that shared cache.
         """
-        shm = shared_memory.SharedMemory(name=name)
-        keep.append(shm)
         dtype = np.dtype(dtype)
         return np.ndarray(
             (length,), dtype=dtype, buffer=shm.buf,
@@ -144,17 +145,24 @@ class _Shard:
         gathered_name: str,
         shadow_name: str | None = None,
     ) -> None:
-        for shm in self._run_blocks:
-            shm.close()
-        self._run_blocks = blocks = list[shared_memory.SharedMemory]()
+        names = (values_name, gathered_name, shadow_name)
+        # Drop the last run's views before closing any mapping under them.
+        self.program = self.values = self.gathered_out = None
+        self.shadow_out = None
+        blocks = self._run_blocks
+        for name in [name for name in blocks if name not in names]:
+            _detach(blocks.pop(name))
+        for name in names:
+            if name is not None and name not in blocks:
+                blocks[name] = shared_memory.SharedMemory(name=name)
         n, w = self.n, self.index
         self.program = program
-        self.values = self._view(blocks, values_name, n, values_dtype)
+        self.values = self._view(blocks[values_name], n, values_dtype)
         self.gathered_out = self._view(
-            blocks, gathered_name, n, program.message_dtype, row=w
+            blocks[gathered_name], n, program.message_dtype, row=w
         )
         self.shadow_out = (
-            self._view(blocks, shadow_name, n, values_dtype, row=w)
+            self._view(blocks[shadow_name], n, values_dtype, row=w)
             if shadow_name is not None
             else None
         )
@@ -230,11 +238,16 @@ class _Shard:
     def close(self) -> None:
         if self.ring is not None:
             self.ring.close()
-        for shm in self._run_blocks + self._static:
-            try:
-                shm.close()
-            except BufferError:  # a view outlived its task
-                pass
+        for shm in [*self._run_blocks.values(), *self._static]:
+            _detach(shm)
+
+
+def _detach(shm: shared_memory.SharedMemory) -> None:
+    """Close this process's mapping of ``shm`` (the parent unlinks it)."""
+    try:
+        shm.close()
+    except BufferError:  # a view outlived its task
+        pass
 
 
 def _open_ring(spec: dict) -> RingWriter | None:

@@ -17,6 +17,14 @@ Design:
   read-only as its shard's sub-CSR, so its sweeps are O(m / W) and a flood
   of its whole shard is a slice.  The per-vertex ``values`` array is
   shared too: the parent's ``compute`` updates reach workers with no copy.
+* **Run blocks belong to the engine** — ``values``, the per-worker
+  ``gathered`` output and (``check=True``) the ``shadow`` copies live in
+  shared blocks the engine creates at its first run and keeps until
+  :meth:`~ShardedBSPEngine.close`.  Each run re-views them with its own
+  dtypes and names them in its run frame; a block is replaced only when a
+  run needs more bytes than it holds, and the workers attach a block once
+  per name.  So ``engine.values`` is run state the next run overwrites;
+  a :class:`~repro.bsp.engine.BSPResult` holds a copy.
 * **Vertex partitioning** — vertices are assigned to workers with the
   cluster placement policies (:func:`~repro.cluster.partition.hash_partition`
   or :func:`~repro.cluster.partition.balanced_edge_partition`); the
@@ -71,6 +79,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.bsp._pool import WorkerPool, release_block, shared_array
+from repro.bsp._scatter import receivers_of
 from repro.bsp._wire import OkReply, ShardedWorkerError, WorkerStallError
 from repro.bsp.dense import DenseBSPEngine, DenseVertexProgram
 from repro.bsp.frontier import FrontierPolicy, arc_indices
@@ -124,12 +133,13 @@ class ShardedWriteRaceError(RuntimeError):
 
 #: Largest flood (arcs out of a superstep's senders) the parent accounts
 #: and delivers itself through the inherited dense hooks instead of
-#: fanning out.  An exchange costs ~0.4 ms of frame/wake-up overhead
-#: however little the workers then do, and the parent's own scatter or
-#: delivery pass ~10 ns per arc plus ~0.1 ms: this is the largest power
-#: of two at which either pass stays under that overhead, so running
-#: locally wins however many workers would have shared the flood
-#: (measurements in docs/MODEL.md).
+#: fanning out.  A fanned-out pass costs ~0.3 ms of frame/wake-up
+#: overhead however little the workers then do (~0.4 ms when this was
+#: set), and the parent's own scatter or delivery pass ~6-10 ns per arc
+#: plus ~0.05 ms.  2^14 was the largest power of two at which either pass
+#: stayed under that overhead, so running locally wins however many
+#: workers would have shared the flood; at today's figures 2^15 would
+#: also qualify (measurements in docs/MODEL.md).
 _LOCAL_SUPERSTEP_ARCS = 1 << 14
 
 #: Scatter and gather frames name a generation, not senders: a scatter's
@@ -295,7 +305,9 @@ class ShardedBSPEngine(DenseBSPEngine):
         # threads sharing one warm engine) must serialize here.  Close
         # takes the same lock, so a shutdown waits for an in-flight run.
         self._lifecycle_lock = threading.RLock()
-        self._run_blocks: list = []
+        # Run blocks by role ("values", "gathered", "shadow"), kept for
+        # the engine's lifetime and re-viewed by every run (_begin_run).
+        self._run_blocks: dict[str, Any] = {}
         self._gathered: np.ndarray | None = None
         self._shadow: np.ndarray | None = None
         self._shard_mode: str | None = None
@@ -393,16 +405,6 @@ class ShardedBSPEngine(DenseBSPEngine):
             generation=self._generation,
         )
 
-    def _release_run_blocks(self) -> None:
-        # Drop this engine's views first so close() can release the
-        # mapping (external views merely defer the memory reclaim).
-        self.values = np.empty(0)
-        self._gathered = None
-        self._shadow = None
-        for shm in self._run_blocks:
-            release_block(shm)
-        self._run_blocks = []
-
     def _audit_write_sets(
         self,
         snapshot: np.ndarray,
@@ -477,29 +479,46 @@ class ShardedBSPEngine(DenseBSPEngine):
     def _begin_run(
         self, program: DenseVertexProgram, values: np.ndarray
     ) -> None:
-        self._release_run_blocks()
         shape = (self.num_workers, self.graph.num_vertices)
-        values_shm, shared_values = shared_array(values.shape, values.dtype)
-        shared_values[...] = values
+        layouts = {
+            "values": (values.shape, values.dtype),
+            "gathered": (shape, program.message_dtype),
+        }
+        if self.check:
+            layouts["shadow"] = (shape, values.dtype)
+        # The blocks belong to the engine: a run re-views its
+        # predecessor's with its own dtypes, so a warm engine neither
+        # creates, faults in nor unlinks shared memory per run, and the
+        # workers attach nothing new.  A block is replaced only when the
+        # run needs more bytes than it holds, and released only once
+        # ``values`` (which may be a view of it) has been copied over.
+        views, superseded = {}, []
+        for role, (role_shape, dtype) in layouts.items():
+            dtype = np.dtype(dtype)
+            nbytes = int(np.prod(role_shape)) * dtype.itemsize
+            shm = self._run_blocks.get(role)
+            if shm is None or shm.size < nbytes:
+                if shm is not None:
+                    superseded.append(shm)
+                shm, _ = shared_array(role_shape, dtype)
+                self._run_blocks[role] = shm
+            views[role] = np.ndarray(role_shape, dtype=dtype, buffer=shm.buf)
+        views["values"][...] = values
         # compute() mutates ctx.values in place, so parent-side updates
         # land directly in the block the workers read payloads from.
-        self.values = shared_values
-        gathered_shm, self._gathered = shared_array(
-            shape, program.message_dtype
-        )
-        self._run_blocks = [values_shm, gathered_shm]
-        shadow_name = None
-        if self.check:
-            shadow_shm, self._shadow = shared_array(shape, values.dtype)
-            self._run_blocks.append(shadow_shm)
-            shadow_name = shadow_shm.name
+        self.values = views["values"]
+        self._gathered = views["gathered"]
+        self._shadow = views.get("shadow")
+        for shm in superseded:
+            release_block(shm)
+        blocks = self._run_blocks
         task = (
             "run",
             program,
-            values_shm.name,
+            blocks["values"].name,
             values.dtype.str,
-            gathered_shm.name,
-            shadow_name,
+            blocks["gathered"].name,
+            blocks["shadow"].name if self.check else None,
         )
         self._exchange({w: task for w in range(self.num_workers)})
 
@@ -594,7 +613,7 @@ class ShardedBSPEngine(DenseBSPEngine):
         n = self.graph.num_vertices
         mdtype = np.dtype(program.message_dtype)
         raw = self._pending_raw
-        receivers = np.flatnonzero(self._pending_hist)
+        receivers = receivers_of(self._pending_hist)
         generation = self._generation
         participants = self._participants
         mode = self._shard_mode
@@ -644,8 +663,8 @@ class ShardedBSPEngine(DenseBSPEngine):
         """Execute ``program`` (see :meth:`DenseBSPEngine.run`).
 
         The engine is reusable: call ``run`` any number of times between
-        construction and :meth:`close` — the worker pool and the
-        shared-memory CSR stay warm across runs.  Runs are serialized
+        construction and :meth:`close` — the worker pool, the
+        shared-memory CSR and the run blocks stay warm across runs.  Runs are serialized
         with an internal lock so a warm engine can be shared by
         multiple threads.
         """
@@ -669,9 +688,11 @@ class ShardedBSPEngine(DenseBSPEngine):
             self._pool.close()
             # Detach the engine's state from shared memory before
             # unlinking so `engine.values` stays readable after close().
-            values = self.values.copy()
-            self._release_run_blocks()
-            self.values = values
+            self.values = self.values.copy()
+            self._gathered = self._shadow = None
+            for shm in self._run_blocks.values():
+                release_block(shm)
+            self._run_blocks = {}
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
         try:

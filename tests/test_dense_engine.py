@@ -449,6 +449,19 @@ class TestDenseEngineMechanics:
                 DenseConnectedComponents(), initial_active=[-1]
             )
 
+    @pytest.mark.parametrize("vertex", [-1, -5, 5])
+    def test_vote_to_halt_rejects_out_of_range_ids(self, vertex):
+        """An id outside [0, n) is an error, not a wrapped index: -1
+        used to halt vertex n - 1 without a word."""
+
+        class HaltsOneId(DenseConnectedComponents):
+            def compute(self, ctx):
+                ctx.vote_to_halt([vertex])
+                return super().compute(ctx)
+
+        with pytest.raises(IndexError, match="halting vertex out of range"):
+            DenseBSPEngine(path_graph(5)).run(HaltsOneId())
+
     def test_max_supersteps_cap(self):
         g = ring_graph(6)
         ref = BSPEngine(g).run(BSPPageRank(30), max_supersteps=3)

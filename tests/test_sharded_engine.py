@@ -30,8 +30,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bsp import (
+    BSPEngine,
     CheckpointStore,
     DenseBSPEngine,
+    DenseVertexProgram,
     FrontierPolicy,
     ShardedBSPEngine,
     ShardedWorkerError,
@@ -41,14 +43,19 @@ from repro.bsp import (
     make_engine,
     parallel,
 )
+from repro.bsp.frontier import source_values
 from repro.bsp_algorithms import (
+    BSPBreadthFirstSearch,
+    BSPConnectedComponents,
+    BSPShortestPaths,
     DenseBreadthFirstSearch,
     DenseConnectedComponents,
     DenseKCore,
     DensePageRank,
     DenseShortestPaths,
 )
-from repro.graph import from_edge_list, rmat, star_graph
+from repro.bsp_algorithms.bfs import UNREACHED
+from repro.graph import from_edge_list, rmat, star_graph, two_d_grid
 from repro.telemetry.core import MAIN_TRACK, Telemetry
 from tests.test_dense_engine import assert_results_equal
 
@@ -499,6 +506,124 @@ class TestShardLayout:
         assert set(os.listdir("/dev/shm")) <= before
 
 
+# -- run blocks --------------------------------------------------------------
+
+
+class ComplexNeighbourSum(DenseVertexProgram):
+    """Sums each vertex's in-neighbour ids plus ``1j`` per arc: 16-byte
+    messages, twice the size of every in-tree program's."""
+
+    combine = np.add
+    combine_identity = 0j
+    message_dtype = np.complex128
+
+    def initial_values(self, graph):
+        return np.arange(graph.num_vertices, dtype=np.float64)
+
+    def arc_payload(self, graph, values, selection):
+        return source_values(graph, values, selection) + 1j
+
+    def compute(self, ctx):
+        ctx.vote_to_halt()
+        if ctx.superstep == 0:
+            return ctx.active
+        messages = ctx.messages
+        ctx.values[:] = messages.real + 1000 * messages.imag
+        return None
+
+
+def _mapped_shm(pid):
+    """Names of the ``/dev/shm`` blocks process ``pid`` maps."""
+    with open(f"/proc/{pid}/maps") as maps:
+        return {
+            line.split("/dev/shm/", 1)[1].split()[0]
+            for line in maps
+            if "/dev/shm/" in line
+        }
+
+
+@pytest.mark.usefixtures("fan_out_every_superstep")
+class TestRunBlocks:
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self"), reason="reads /proc/<pid>/maps"
+    )
+    @pytest.mark.parametrize("check", [False, True], ids=["plain", "check"])
+    def test_run_blocks_stay_warm(self, check):
+        """One engine's runs share its values / gathered / shadow blocks:
+        same names, no new ``/dev/shm`` entries, earlier results intact;
+        a run with bigger messages replaces ``gathered`` once, and the
+        workers stop mapping the block it replaced."""
+        g = rmat(scale=7, edge_factor=8, seed=5)
+        roles = {"values", "gathered", "shadow"} if check else {
+            "values", "gathered"
+        }
+        programs = [
+            lambda: DenseBreadthFirstSearch(0),  # int64 values
+            lambda: DenseShortestPaths(0),  # float64 values
+            lambda: DensePageRank(num_supersteps=4),
+            DenseConnectedComponents,
+        ]
+        before = set(os.listdir("/dev/shm"))
+        engine = ShardedBSPEngine(g, num_workers=2, check=check)
+        pids = [row["pid"] for row in engine._pool.worker_status()]
+        kept = []  # (result, its values as returned)
+
+        def run(make_program):
+            result = engine.run(make_program())
+            kept.append((result, result.values.copy()))
+            return result
+
+        def blocks():
+            return {
+                role: shm.name for role, shm in engine._run_blocks.items()
+            }
+
+        def new_entries():
+            return set(os.listdir("/dev/shm")) - before
+
+        try:
+            run(programs[0])
+            first, entries = blocks(), len(new_entries())
+            assert set(first) == roles
+            for make_program in [*programs[1:], lambda: PoisonPayloadCC()]:
+                try:
+                    run(make_program)
+                except ShardedWorkerError as error:
+                    assert "injected" in str(error)
+                assert blocks() == first
+                assert len(new_entries()) == entries
+            for make_program in programs:
+                result = run(make_program)
+                assert_results_equal(
+                    DenseBSPEngine(g).run(make_program()), result,
+                    float_values=True,
+                )
+                assert blocks() == first
+                assert len(new_entries()) == entries
+
+            wide = run(ComplexNeighbourSum)
+            assert_results_equal(
+                DenseBSPEngine(g).run(ComplexNeighbourSum()), wide
+            )
+            grown = blocks()
+            assert grown["gathered"] != first["gathered"]
+            assert {r: n for r, n in grown.items() if r != "gathered"} == {
+                r: n for r, n in first.items() if r != "gathered"
+            }
+            for make_program in [ComplexNeighbourSum, *programs]:
+                run(make_program)
+                assert blocks() == grown
+                assert len(new_entries()) == entries
+            ever = set(first.values()) | set(grown.values())
+            for pid in pids:
+                assert _mapped_shm(pid) & ever == set(grown.values())
+            for result, values in kept:
+                assert np.array_equal(result.values, values)
+        finally:
+            engine.close()
+        assert set(os.listdir("/dev/shm")) <= before
+
+
 # -- split floods ----------------------------------------------------------
 
 
@@ -717,6 +842,57 @@ class TestLocalSupersteps:
             sharded = engine.run(DenseBreadthFirstSearch(6))
         assert_results_equal(dense, sharded)
         assert not tel.spans_named("barrier")
+
+
+# -- small supersteps on a high-diameter graph -----------------------------
+
+#: name -> (reference program, dense program): a grid's BFS, SSSP and CC
+#: run ~2 x 12 supersteps that each flood a few dozen arcs.
+GRID_ALGORITHMS = {
+    "bfs": (lambda: BSPBreadthFirstSearch(0), lambda: DenseBreadthFirstSearch(0)),
+    "sssp": (lambda: BSPShortestPaths(0), lambda: DenseShortestPaths(0)),
+    "cc": (BSPConnectedComponents, DenseConnectedComponents),
+}
+
+
+class TestHighDiameter:
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return two_d_grid(12, 12)
+
+    @pytest.fixture(scope="class")
+    def reference(self, grid):
+        results = {}
+        for name, (make_program, _) in GRID_ALGORITHMS.items():
+            result = BSPEngine(grid).run(make_program())
+            result.values = [UNREACHED if v is None else v for v in result.values]
+            results[name] = result
+        return results
+
+    @pytest.mark.parametrize("fan_out", [True, False], ids=["fan-out", "local"])
+    def test_grid_small_supersteps_match_everywhere(
+        self, grid, reference, fan_out, monkeypatch
+    ):
+        """Dense and sharded W = 1 / 2 under both placements reproduce
+        the reference engine superstep by superstep, whether every tiny
+        superstep goes to the workers or stays in the parent."""
+        if fan_out:
+            monkeypatch.setattr(parallel, "_LOCAL_SUPERSTEP_ARCS", 0)
+        engines = [DenseBSPEngine(grid)] + [
+            ShardedBSPEngine(grid, num_workers=w, partition=policy)
+            for w in (1, 2)
+            for policy in POLICIES
+        ]
+        try:
+            for name, (_, make_program) in GRID_ALGORITHMS.items():
+                assert reference[name].num_supersteps > 20
+                for engine in engines:
+                    assert_results_equal(
+                        reference[name], engine.run(make_program())
+                    )
+        finally:
+            for engine in engines:
+                engine.close()
 
 
 # -- construction & selection ----------------------------------------------
