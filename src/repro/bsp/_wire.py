@@ -3,13 +3,14 @@
 Every parent↔worker message crosses an OS pipe as one fixed binary
 frame: a one-byte command code, a little-endian struct header, and any
 sender ids as raw ``tobytes`` payload — decoded with ``np.frombuffer``
-on the other side.  The sharded engine sends none: a scatter's senders
-are in the shared ``senders`` bitmap and a gather's were cached at the
-scatter, so its scatter and gather frames are a fixed 18 bytes however
-large the frontier or the graph.  The id field stays for the codec's
-other callers.  ``send`` / ``recv`` return the exact frame size; the
-engine's ``pipe_bytes`` total and the per-superstep ``pipe_bytes``
-telemetry counter are built on those counts.
+on the other side.  The sharded engine sends none: a scatter's or a
+deliver's senders are in the shared ``senders`` bitmap and a gather's
+were cached at the scatter, so its scatter, gather and deliver frames
+are a fixed 18 bytes however large the frontier or the graph.  The id
+field stays for the codec's other callers.  ``send`` / ``recv`` return
+the exact frame size; the engine's ``pipe_bytes`` total and the
+per-superstep ``pipe_bytes`` telemetry counter are built on those
+counts.
 
 Frames (sizes are pinned by ``tests/test_frontier.py``):
 
@@ -17,11 +18,14 @@ Frames (sizes are pinned by ``tests/test_frontier.py``):
   shadow_name)`` — once per run; the program object has no fixed
   layout, so this frame's body (and only this one) is pickled.
 * ``("scatter", generation, senders, mode)`` /
-  ``("gather", generation, senders, mode)`` — per superstep; ``senders``
-  is an int64 id array, ``mode`` a :mod:`repro.bsp.frontier` name:
-  ``18 + 8·len(senders)`` bytes.  The engine's arrays are empty: a
-  scatter reads the ``senders`` bitmap, and a gather delivers the
-  selection the worker cached at the scatter of the same ``generation``.
+  ``("gather", generation, senders, mode)`` /
+  ``("deliver", generation, senders, mode)`` — per superstep;
+  ``senders`` is an int64 id array, ``mode`` a :mod:`repro.bsp.frontier`
+  name: ``18 + 8·len(senders)`` bytes.  The engine's arrays are empty: a
+  scatter reads the ``senders`` bitmap, a gather delivers the selection
+  the worker cached at the scatter of the same ``generation``, and a
+  deliver does both in one task — the parent accounted that flood itself
+  and sent no scatter.
 * ``("close",)`` — one byte.
 * ``("ok", *ints)`` — worker replies, ``2 + 8·len(ints)`` bytes; built
   by :func:`ok_reply` and read through :class:`OkReply`.
@@ -128,14 +132,21 @@ _CMD_RUN = 0x01
 _CMD_SCATTER = 0x02
 _CMD_GATHER = 0x03
 _CMD_CLOSE = 0x04
+_CMD_DELIVER = 0x05
 _REPLY_OK = 0x00
 _REPLY_ERR = 0x7F
 
 _MODE_CODE = {SPARSE: 0, DENSE: 1, COMPLEMENT: 2}
 _MODE_NAME = {code: name for name, code in _MODE_CODE.items()}
 
-# Header of a scatter/gather frame after the command byte:
-# generation (int64), frontier-mode code (uint8), sender count (int64).
+# The frames that name a generation, and their header after the command
+# byte: generation (int64), frontier-mode code (uint8), sender count (int64).
+_ARRAY_CODE = {
+    "scatter": _CMD_SCATTER,
+    "gather": _CMD_GATHER,
+    "deliver": _CMD_DELIVER,
+}
+_ARRAY_CMD = {code: cmd for cmd, code in _ARRAY_CODE.items()}
 _ARRAY_HEADER = struct.Struct("<qBq")
 _OK_HEADER = struct.Struct("<B")
 
@@ -160,12 +171,11 @@ class PackedWire:
     @staticmethod
     def _encode(msg: tuple) -> bytes:
         cmd = msg[0]
-        if cmd == "scatter" or cmd == "gather":
+        if cmd in _ARRAY_CODE:
             _, gen, senders, mode = msg
             senders = np.ascontiguousarray(senders, dtype=np.int64)
-            code = _CMD_SCATTER if cmd == "scatter" else _CMD_GATHER
             return (
-                bytes([code])
+                bytes([_ARRAY_CODE[cmd]])
                 + _ARRAY_HEADER.pack(int(gen), _MODE_CODE[mode], senders.size)
                 + senders.tobytes()
             )
@@ -190,8 +200,8 @@ class PackedWire:
         if not buf:
             raise WireFormatError("empty wire frame")
         code = buf[0]
-        if code == _CMD_SCATTER or code == _CMD_GATHER:
-            cmd = "scatter" if code == _CMD_SCATTER else "gather"
+        if code in _ARRAY_CMD:
+            cmd = _ARRAY_CMD[code]
             if len(buf) < 1 + _ARRAY_HEADER.size:
                 raise WireFormatError(
                     f"truncated {cmd} frame: {len(buf)} byte(s), header "
@@ -262,8 +272,8 @@ def make_wire(name: str) -> PackedWire:
 
 def ok_reply(busy_ns: int, peak_rss: int, arcs: int | None = None) -> tuple:
     """A worker's ``("ok", ...)`` reply: ``arcs`` leads when the task
-    touched arcs (scatter / gather), the worker's busy time and peak RSS
-    always close it."""
+    touched arcs (scatter / gather / deliver), the worker's busy time and
+    peak RSS always close it."""
     if arcs is None:
         return ("ok", busy_ns, peak_rss)
     return ("ok", arcs, busy_ns, peak_rss)

@@ -15,7 +15,11 @@ told to close:
   per-destination histogram and keeps the selection warm;
 * ``gather`` delivers that cached selection: payload hook (the fold's
   identity written at a complement's left-out arcs), then the combiner
-  fold into this worker's output slice.
+  fold into this worker's output slice;
+* ``deliver`` is a flood the parent accounted itself (a near-full one,
+  with no scatter exchange): the shard selects it off the bitmap as
+  ``scatter`` does, publishes no histogram, and folds it as ``gather``
+  does, in one task.
 
 Every task ends in the same epilogue: busy time (recv-to-reply) and the
 worker's peak RSS ride on the ``("ok", ...)`` reply, so the parent's
@@ -28,6 +32,7 @@ progress per arc chunk — what the stall watchdog and ``repro top`` read.
 
 from __future__ import annotations
 
+import os
 import time
 import traceback
 from multiprocessing import shared_memory
@@ -65,14 +70,20 @@ __all__ = ["worker_main"]
 #: the whole range) is preserved.
 _PROGRESS_CHUNK_ARCS = 1 << 18
 
-_PHASE_BY_CMD = {"run": PH_RUN, "scatter": PH_SCATTER, "gather": PH_GATHER}
+_PHASE_BY_CMD = {
+    "run": PH_RUN,
+    "scatter": PH_SCATTER,
+    "gather": PH_GATHER,
+    "deliver": PH_GATHER,
+}
 
 
 class _Shard:
     """A worker's warm state: the attached graph for the pool's lifetime,
     the program and output slices per run, and the (generation, arc
-    selection, destinations, left-out arcs) of the last scatter, reused
-    by the gather of the following superstep."""
+    selection, destinations, left-out arcs) of the last selection, which
+    a scatter makes for the gather of the following superstep and a
+    deliver for itself."""
 
     def __init__(self, spec: dict, ring: RingWriter | None) -> None:
         self.n = n = spec["num_vertices"]
@@ -107,7 +118,7 @@ class _Shard:
         self.senders = self._view(static(spec["senders"]), n, np.bool_)
         self.senders.setflags(write=False)
         self.owned = self.graph.degrees() > 0
-        # Set by run() / scatter(); the parent always sends those first.
+        # Set by run() / select(); the parent always sends those first.
         self.program: Any = None
         self.values: Any = None
         self.gathered_out: Any = None
@@ -170,8 +181,9 @@ class _Shard:
         self.left_out = NO_ARCS
         self.generation = -1
 
-    def scatter(self, generation: int, mode: str) -> int:
-        """Select the shard's flood; returns how many arcs it selects."""
+    def select(self, generation: int, mode: str) -> None:
+        """Select the shard's flood off the ``senders`` bitmap and keep it
+        as ``generation``'s."""
         graph = self.graph
         self.generation = generation
         self.left_out = NO_ARCS
@@ -184,6 +196,12 @@ class _Shard:
             senders = np.flatnonzero(self.senders & self.owned)
             self.sel = select_arcs(senders, graph.row_ptr, mode)
         self.dst = graph.col_idx[self.sel]
+
+    def scatter(self, generation: int, mode: str) -> int:
+        """Select the shard's flood and publish its histogram; returns
+        how many arcs it selects."""
+        self.select(generation, mode)
+        graph = self.graph
         if isinstance(self.sel, slice):
             self.hist_out[:] = complement_histogram(
                 graph.in_degrees(), self.dst, self.left_out
@@ -235,6 +253,11 @@ class _Shard:
                 ring.record(EV_PROGRESS, PH_GATHER, step, end, total)
         return total - int(self.left_out.size)
 
+    def deliver(self, generation: int, mode: str) -> int:
+        """Select and deliver a flood the parent accounted itself."""
+        self.select(generation, mode)
+        return self.gather(generation)
+
     def close(self) -> None:
         if self.ring is not None:
             self.ring.close()
@@ -262,6 +285,15 @@ def _open_ring(spec: dict) -> RingWriter | None:
 
 def worker_main(conn: "Connection", spec: dict) -> None:
     """Shard worker entry point: serve tasks until told to close."""
+    if hasattr(os, "sched_setscheduler"):
+        # A woken worker must not preempt the parent while it is still
+        # writing the other workers' frames: as SCHED_BATCH it waits for
+        # the parent's slice, and the parent's 18-byte frame write falls
+        # from ~40-100 us to ~6-17 us (measurements in docs/MODEL.md).
+        try:
+            os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+        except OSError:  # not permitted: scheduling never changes results
+            pass
     wire = PackedWire()
     ring = _open_ring(spec)
     shard = _Shard(spec, ring)
@@ -273,7 +305,9 @@ def worker_main(conn: "Connection", spec: dict) -> None:
                 return
             t_busy = time.perf_counter_ns()
             phase = _PHASE_BY_CMD.get(cmd, PH_IDLE)
-            step = int(msg[1]) if cmd in ("scatter", "gather") else -1
+            step = (
+                int(msg[1]) if cmd in ("scatter", "gather", "deliver") else -1
+            )
             if ring is not None:
                 ring.record(EV_ENTER, phase, step)
             arcs: int | None = None
@@ -286,6 +320,8 @@ def worker_main(conn: "Connection", spec: dict) -> None:
                     arcs = shard.scatter(msg[1], msg[3])
                 elif cmd == "gather":
                     arcs = shard.gather(msg[1])
+                elif cmd == "deliver":
+                    arcs = shard.deliver(msg[1], msg[3])
                 else:
                     raise ValueError(f"unknown command {cmd!r}")
             except Exception:

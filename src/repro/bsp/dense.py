@@ -92,6 +92,21 @@ def _compute_set(halted: np.ndarray, receivers: np.ndarray) -> np.ndarray:
     return np.flatnonzero(computing)
 
 
+def _vertex_ids(ids: Any, what: str) -> np.ndarray:
+    """``ids`` as an int64 array of vertex ids.
+
+    A boolean array is refused rather than read as the ids 0 and 1: a
+    mask marking vertex 3 would otherwise name vertices 0 and 1.
+    """
+    ids = np.asarray(ids)
+    if ids.dtype == np.bool_:
+        raise TypeError(
+            f"{what} must be vertex ids, not a boolean mask "
+            "(np.flatnonzero turns one into ids)"
+        )
+    return ids.astype(np.int64, copy=False)
+
+
 def _mark(halted: np.ndarray, vertices: np.ndarray, flag: bool) -> None:
     """``halted[vertices] = flag`` for a sorted, duplicate-free id set.
 
@@ -183,13 +198,14 @@ class DenseSuperstepContext:
         until a message re-activates them.
 
         Raises :class:`IndexError` for an id outside ``[0, n)``, which
-        NumPy would otherwise wrap (``-1`` halting vertex ``n - 1``).
+        NumPy would otherwise wrap (``-1`` halting vertex ``n - 1``), and
+        :class:`TypeError` for a boolean mask.
         """
         halted = self._engine.halted
         if vertices is None:
             _mark(halted, self.active, True)
             return
-        vertices = np.asarray(vertices, dtype=np.int64)
+        vertices = _vertex_ids(vertices, "vote_to_halt's vertices")
         if vertices.size and (
             vertices.min() < 0 or vertices.max() >= halted.size
         ):
@@ -292,8 +308,9 @@ class DenseVertexProgram(ABC):
         Update ``ctx.values`` in place for the vertices in ``ctx.active``,
         vote halts via ``ctx.vote_to_halt``, and return the sender set for
         the next superstep (``None`` or an empty array to send nothing).
-        The sender set must be sorted ascending and duplicate-free (the
-        engine normalizes defensively, at a cost).
+        The sender set is vertex ids, never a boolean mask (a
+        :class:`TypeError`); it must be sorted ascending and
+        duplicate-free (the engine normalizes defensively, at a cost).
         """
 
 
@@ -475,7 +492,7 @@ class DenseBSPEngine:
                 active0 = np.arange(n, dtype=np.int64)
             else:
                 active0 = np.unique(
-                    np.asarray(list(initial_active), dtype=np.int64)
+                    _vertex_ids(list(initial_active), "initial_active")
                 )
                 if active0.size and (
                     active0[0] < 0 or active0[-1] >= n
@@ -541,7 +558,7 @@ class DenseBSPEngine:
             if new_senders is None:
                 new_senders = np.empty(0, dtype=np.int64)
             else:
-                new_senders = np.asarray(new_senders, dtype=np.int64)
+                new_senders = _vertex_ids(new_senders, "compute's sender set")
                 # Sparse and dense arc selections agree only for sorted,
                 # duplicate-free sender sets (the program contract);
                 # normalize defensively when a program strays.

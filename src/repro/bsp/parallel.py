@@ -47,13 +47,22 @@ Design:
   last ulp across shard boundaries, same as dense-vs-reference).
   Delivery is lazy (see :meth:`DenseBSPEngine._gather`): the gather
   exchange and combine only run if the program reads ``ctx.messages``,
-  so message-free supersteps cost one pipe round-trip, not two.
+  so a message-free superstep costs its scatter round-trip at most.
 * **Persistent pool, fixed-size frames** — workers live for the
   engine's lifetime (:mod:`repro.bsp._worker`) and keep their shard's
   arc selection between the scatter accounting and the delivery at the
-  next barrier, so a superstep costs at most two round-trips of 18-byte
-  binary frames (:mod:`repro.bsp._wire`) that carry no vertex ids,
-  counted in :attr:`ShardedBSPEngine.pipe_bytes`.
+  next barrier.  Every exchange is one round-trip of 18-byte binary
+  frames (:mod:`repro.bsp._wire`) that carry no vertex ids, counted in
+  :attr:`ShardedBSPEngine.pipe_bytes`, and a fanned-out superstep costs
+  at most two of them: a scatter, then a gather if the program reads its
+  messages.
+* **Near-full floods cost one exchange** — when a flood leaves out at
+  most :data:`_LOCAL_SUPERSTEP_ARCS` arcs (every PageRank round, CC's
+  first ones), the parent takes its histogram from the in-degree vector
+  less the quiet rows, as the dense engine does, and sends no scatter.
+  A program that reads the messages gets one ``deliver`` exchange, in
+  which each worker selects its shard's flood off the bitmap and folds
+  it; one that does not (BFS) pays no exchange for the flood at all.
 * **Small supersteps stay in the parent** — a flood of at most
   :data:`_LOCAL_SUPERSTEP_ARCS` arcs (the flat tails of the paper's
   Fig. 2/3, most supersteps of a BFS or SSSP) is accounted and delivered
@@ -79,7 +88,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.bsp._pool import WorkerPool, release_block, shared_array
-from repro.bsp._scatter import receivers_of
+from repro.bsp._scatter import complement_histogram, receivers_of
 from repro.bsp._wire import OkReply, ShardedWorkerError, WorkerStallError
 from repro.bsp.dense import DenseBSPEngine, DenseVertexProgram
 from repro.bsp.frontier import FrontierPolicy, arc_indices
@@ -131,20 +140,25 @@ class ShardedWriteRaceError(RuntimeError):
         self.conflicts = conflicts
 
 
-#: Largest flood (arcs out of a superstep's senders) the parent accounts
-#: and delivers itself through the inherited dense hooks instead of
-#: fanning out.  A fanned-out pass costs ~0.3 ms of frame/wake-up
-#: overhead however little the workers then do (~0.4 ms when this was
-#: set), and the parent's own scatter or delivery pass ~6-10 ns per arc
-#: plus ~0.05 ms.  2^14 was the largest power of two at which either pass
-#: stayed under that overhead, so running locally wins however many
-#: workers would have shared the flood; at today's figures 2^15 would
-#: also qualify (measurements in docs/MODEL.md).
+#: Largest number of arcs the parent handles itself instead of paying an
+#: exchange for them.  A flood of at most this many arcs (out of a
+#: superstep's senders) is accounted and delivered through the inherited
+#: dense hooks, with no exchange; a flood that leaves out at most this
+#: many (every full flood included) is accounted by the parent from the
+#: in-degree vector less the left-out arcs, with no scatter exchange,
+#: and the workers select it only when it is delivered.  An exchange
+#: costs ~0.3 ms of frame/wake-up overhead however little the workers
+#: then do (~0.4 ms when this was set), and the parent's own pass ~6-10
+#: ns per arc it touches plus ~0.05 ms.  2^14 was the largest power of
+#: two at which that pass stayed under the overhead, so the parent wins
+#: however many workers would have shared the work; at today's figures
+#: 2^15 would also qualify (measurements in docs/MODEL.md).
 _LOCAL_SUPERSTEP_ARCS = 1 << 14
 
-#: Scatter and gather frames name a generation, not senders: a scatter's
-#: senders are in the shared ``senders`` bitmap, and a gather delivers the
-#: selection the worker cached at the scatter exchange that always precedes.
+#: Scatter, gather and deliver frames name a generation, not senders: a
+#: scatter's or a deliver's senders are in the shared ``senders`` bitmap,
+#: and a gather delivers the selection the worker cached at the scatter
+#: exchange that always precedes it.
 _NO_SENDERS = np.empty(0, dtype=np.int64)
 
 
@@ -312,6 +326,9 @@ class ShardedBSPEngine(DenseBSPEngine):
         self._shadow: np.ndarray | None = None
         self._shard_mode: str | None = None
         self._participants: tuple[int, ...] = ()
+        # Whether the pending flood was accounted by the parent, so its
+        # workers select it at delivery (see _fan_out).
+        self._delivers = False
         self._generation = 0
         n = graph.num_vertices
         order, row_ptr = _shard_layout(graph, assignment, num_workers)
@@ -526,6 +543,7 @@ class ShardedBSPEngine(DenseBSPEngine):
         super()._scatter_reset()
         self._shard_mode = None
         self._participants = ()
+        self._delivers = False
 
     def _runs_locally(self, flood_arcs: int) -> bool:
         """Whether a flood of ``flood_arcs`` arcs stays in the parent.
@@ -545,36 +563,57 @@ class ShardedBSPEngine(DenseBSPEngine):
         return local
 
     def _fan_out(self, senders: np.ndarray, flood_arcs: int) -> np.ndarray:
-        """Scatter exchange: every shard selects and histograms its arcs.
+        """Hand a flood to the workers; returns its enqueue histogram.
 
         The sender set goes to the workers as the shared ``senders``
         bitmap, marked here before any frame leaves: each worker reads
-        its own senders off it, so a scatter frame is 18 bytes however
-        many vertices send.  The parent only counts senders per shard to
-        know which workers take part.  The flood's histogram is the sum
-        of the participants' rows, each worker's in whichever form it
-        selected (a complement's: its shard's in-degrees less its quiet
-        rows).
+        its own senders off it, so a frame is 18 bytes however many
+        vertices send.  A flood that leaves out at most
+        :data:`_LOCAL_SUPERSTEP_ARCS` arcs is accounted here, as
+        :meth:`DenseBSPEngine._select` accounts a complement: the
+        in-degree vector less the quiet rows' arcs, ``O(n)`` plus the
+        left-out arcs.  Every worker then selects its shard's flood when
+        it delivers it, if the program reads its messages.  Any other
+        flood is a scatter exchange: its histogram is the sum of the
+        participants' rows, each worker's in whichever form it selected,
+        and only the workers with senders take part.
         """
-        mask = self._senders
-        mask[:] = False
-        mask[senders] = True
-        counts = np.bincount(
-            self.assignment[senders], minlength=self.num_workers
-        )
+        graph, mask = self.graph, self._senders
+        if senders.size == mask.size:
+            mask[:] = True
+        else:
+            mask[:] = False
+            mask[senders] = True
         self._shard_mode = self._choose_mode(senders, flood_arcs)
         self._pending_sel = self._pending_dst = None
         self._pending_raw = flood_arcs
-        self._participants = tuple(np.flatnonzero(counts).tolist())
         self._generation += 1
-        if self.telemetry.enabled:
+        self._delivers = graph.num_arcs - flood_arcs <= _LOCAL_SUPERSTEP_ARCS
+        tel = self.telemetry
+        # Senders per shard (~0.1 ms at n = 32k): a delivered flood goes
+        # to every worker, so it counts them only for the trace.
+        counts = np.zeros(self.num_workers, dtype=np.int64)
+        if tel.enabled or not self._delivers:
+            counts = np.bincount(
+                self.assignment[senders], minlength=self.num_workers
+            )
+        if tel.enabled:
             for w, count in enumerate(counts.tolist()):
-                self.telemetry.counter(
+                tel.counter(
                     "shard_senders",
                     count,
                     track=worker_track(w),
                     superstep=self._tel_superstep,
                 )
+        if self._delivers:
+            self._participants = tuple(range(self.num_workers))
+            quiet = graph.degrees() > 0
+            quiet &= ~mask
+            left_out = arc_indices(np.flatnonzero(quiet), graph.row_ptr)
+            return complement_histogram(
+                graph.in_degrees(), graph.col_idx, left_out
+            )
+        self._participants = tuple(np.flatnonzero(counts).tolist())
         self._exchange(
             {
                 w: ("scatter", self._generation, _NO_SENDERS, self._shard_mode)
@@ -617,6 +656,8 @@ class ShardedBSPEngine(DenseBSPEngine):
         generation = self._generation
         participants = self._participants
         mode = self._shard_mode
+        # A flood no worker has selected yet is selected as it is folded.
+        command = "deliver" if self._delivers else "gather"
         superstep = self._tel_superstep
         check = self.check
 
@@ -624,7 +665,7 @@ class ShardedBSPEngine(DenseBSPEngine):
             snapshot = self.values.copy() if check else None
             replies = self._exchange(
                 {
-                    w: ("gather", generation, _NO_SENDERS, mode)
+                    w: (command, generation, _NO_SENDERS, mode)
                     for w in participants
                 },
                 phase="gather",

@@ -103,10 +103,12 @@ class DensePageRank(DenseVertexProgram):
     def arc_payload(
         self, graph: CSRGraph, values: np.ndarray, selection: np.ndarray
     ) -> np.ndarray:
-        """A sender floods ``rank / degree`` to each neighbour."""
-        deg = graph.degrees().astype(np.float64)
-        share = np.zeros(values.size)
-        np.divide(values, deg, out=share, where=deg > 0)
+        """A sender floods ``rank / degree`` to each neighbour.
+
+        The share of a vertex with no out-arcs is never expanded onto an
+        arc, so dividing it by 1 instead of masking it out is exact.
+        """
+        share = values / np.maximum(graph.degrees(), 1)
         return source_values(graph, share, selection)
 
     def compute(self, ctx: DenseSuperstepContext) -> np.ndarray | None:
@@ -153,9 +155,12 @@ def bsp_pagerank(
 
     ``engine`` is a caller-owned :func:`repro.bsp.make_engine` engine on
     this graph (sharded, traced, ... as built), left open; the default
-    is a :class:`~repro.bsp.DenseBSPEngine` for the call.  Sharded float
-    summation may differ from single-process ranks in the last ulp (the
-    per-shard partial sums merge in shard order).
+    is a :class:`~repro.bsp.DenseBSPEngine` for the call.  Every round
+    floods every arc, so a sharded engine accounts it in the parent and
+    pays one ``deliver`` exchange per round, in which each worker selects
+    and folds its shard.  Sharded float summation may differ from
+    single-process ranks in the last ulp (the per-shard partial sums
+    merge in shard order).
     """
     program = DensePageRank(num_supersteps=num_supersteps, damping=damping)
     result = engine_for(graph, engine).run(

@@ -30,6 +30,7 @@ from repro.bsp import (
     save_checkpoint,
 )
 from repro.bsp.dense import _compute_set
+from repro.bsp.frontier import select_arcs
 from repro.bsp_algorithms import (
     BSPBreadthFirstSearch,
     BSPConnectedComponents,
@@ -222,6 +223,36 @@ class TestFullFlood:
             g, frontier_policy=FrontierPolicy(mode="sparse")
         ).run(DensePageRank(num_supersteps=8))
         assert np.array_equal(full.values, masked.values)
+
+    @pytest.mark.parametrize(
+        "name", ["rmat8", "star", "isolated", "directed-weighted"]
+    )
+    def test_pagerank_payload_equals_the_masked_divide(self, name):
+        """``rank / max(degree, 1)`` is the masked ``rank / degree`` on
+        every arc: a vertex with no out-arcs is never expanded onto one."""
+        g = (
+            directed_weighted_graph()
+            if name == "directed-weighted"
+            else GRAPHS[name]()
+        )
+        n = g.num_vertices
+        values = np.random.default_rng(n).random(n)
+        deg = g.degrees().astype(np.float64)
+        share = np.zeros(n)
+        np.divide(values, deg, out=share, where=deg > 0)
+        program = DensePageRank()
+        everyone = np.arange(n, dtype=np.int64)
+        every_other = everyone[::2]  # zero-degree vertices included
+        for senders, mode in (
+            (everyone, "dense"),  # the whole-arc slice
+            (every_other, "dense"),  # a mask
+            (every_other, "sparse"),
+        ):
+            selection = select_arcs(senders, g.row_ptr, mode)
+            old = share[g.arc_sources()[selection]]
+            got = program.arc_payload(g, values, selection)
+            assert np.array_equal(got, old)
+        assert name == "star" or (g.degrees() == 0).any()
 
     def test_sssp_weighted_out_star(self, selection_forms):
         """The source's out-arcs are all the arcs: ``weights[selection]``
@@ -427,6 +458,37 @@ class TestPropertyEquivalence:
 # -- dense-engine mechanics ------------------------------------------------
 
 
+#: Engines the boolean-mask checks run on: the checks live in the run
+#: loop the sharded engine inherits.
+MASK_ENGINES = {
+    "dense": DenseBSPEngine,
+    "sharded": lambda g: ShardedBSPEngine(g, num_workers=2),
+}
+
+
+def _mask(n, vertex):
+    """An n-long boolean mask marking ``vertex``."""
+    mask = np.zeros(n, dtype=bool)
+    mask[vertex] = True
+    return mask
+
+
+class MaskSenders(DenseConnectedComponents):
+    """Returns a mask marking vertex 3 as its sender set."""
+
+    def compute(self, ctx):
+        super().compute(ctx)
+        return _mask(ctx.num_vertices, 3)
+
+
+class HaltsByMask(DenseConnectedComponents):
+    """Votes to halt with a mask marking vertex 4."""
+
+    def compute(self, ctx):
+        ctx.vote_to_halt(_mask(ctx.num_vertices, 4))
+        return super().compute(ctx)
+
+
 class TestDenseEngineMechanics:
     def test_initial_active_restricts_superstep0(self):
         g = ring_graph(8)
@@ -461,6 +523,32 @@ class TestDenseEngineMechanics:
 
         with pytest.raises(IndexError, match="halting vertex out of range"):
             DenseBSPEngine(path_graph(5)).run(HaltsOneId())
+
+    @pytest.mark.parametrize("engine_name", sorted(MASK_ENGINES))
+    def test_bool_mask_sender_set_is_a_type_error(self, engine_name):
+        """A mask marking vertex 3 used to flood from vertices 0 and 1
+        (``messages_per_superstep == [3, 0]``)."""
+        with MASK_ENGINES[engine_name](path_graph(6)) as engine:
+            with pytest.raises(TypeError, match="boolean mask"):
+                engine.run(MaskSenders())
+
+    @pytest.mark.parametrize("engine_name", sorted(MASK_ENGINES))
+    def test_bool_mask_vote_to_halt_is_a_type_error(self, engine_name):
+        """A mask marking vertex 4 used to halt vertices 0 and 1."""
+        with MASK_ENGINES[engine_name](path_graph(6)) as engine:
+            with pytest.raises(TypeError, match="boolean mask"):
+                engine.run(HaltsByMask())
+
+    @pytest.mark.parametrize("engine_name", sorted(MASK_ENGINES))
+    def test_bool_mask_initial_active_is_a_type_error(self, engine_name):
+        with MASK_ENGINES[engine_name](path_graph(6)) as engine:
+            with pytest.raises(TypeError, match="boolean mask"):
+                engine.run(
+                    DenseConnectedComponents(), initial_active=_mask(6, 3)
+                )
+            # Ids still work on the same engine.
+            ids = engine.run(DenseConnectedComponents(), initial_active=[3])
+            assert ids.active_per_superstep[0] == 1
 
     def test_max_supersteps_cap(self):
         g = ring_graph(6)

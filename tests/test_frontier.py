@@ -837,7 +837,8 @@ class TestFrontierTelemetry:
 
 # -- wire framing ----------------------------------------------------------
 
-#: An ("ok", arcs, busy_ns, peak_rss) reply: scatter and gather tasks.
+#: An ("ok", arcs, busy_ns, peak_rss) reply: scatter, gather and deliver
+#: tasks.
 TASK_REPLY_BYTES = 2 + 8 * 3
 
 
@@ -930,6 +931,46 @@ class TestWireFraming:
                 assert len(shards) == span.args["workers"]
             expected += span.args["workers"] * (18 + TASK_REPLY_BYTES)
         assert barriers and fanned_out == expected
+
+    def test_deliver_frame_is_18_bytes_and_counts_into_pipe_bytes(
+        self, monkeypatch
+    ):
+        """A deliver frame has the scatter/gather header and no ids; a
+        fanned-out PageRank run, whose every round floods every arc,
+        exchanges nothing else: one deliver and one reply per worker per
+        round."""
+        wire = PackedWire()
+        empty = np.empty(0, dtype=np.int64)
+        for code, mode in enumerate((SPARSE, DENSE, COMPLEMENT)):
+            msg = ("deliver", 9, empty, mode)
+            frame = wire._encode(msg)
+            assert frame_bytes(msg) == len(frame) == 18
+            assert frame[0] == 0x05 and frame[9] == code
+            cmd, generation, senders, decoded = wire._decode(frame)
+            assert (cmd, generation, decoded) == ("deliver", 9, mode)
+            assert senders.size == 0
+        assert frame_bytes(("deliver", 9, np.arange(7), SPARSE)) == 18 + 56
+        graph = rmat(scale=8, edge_factor=8, seed=7)
+        tel = Telemetry("deliver")
+        with ShardedBSPEngine(
+            graph, num_workers=2, aggregators={"dangling": SumAggregator()}
+        ) as engine:
+            monkeypatch.setattr(parallel, "_LOCAL_SUPERSTEP_ARCS", 1 << 40)
+            engine.run(DensePageRank(num_supersteps=4))
+            run_frames = engine.pipe_bytes
+            monkeypatch.setattr(parallel, "_LOCAL_SUPERSTEP_ARCS", 0)
+            engine.telemetry = tel
+            engine.run(DensePageRank(num_supersteps=4))
+            fanned_out = engine.pipe_bytes - run_frames
+        barriers = tel.spans_named("barrier")
+        assert [(s.args["phase"], s.superstep) for s in barriers] == [
+            ("gather", s) for s in range(1, 5)
+        ]
+        per_round = 2 * (18 + TASK_REPLY_BYTES)
+        assert fanned_out == run_frames + 4 * per_round
+        assert sum(
+            c.value for c in tel.counters if c.name == "pipe_bytes"
+        ) == 4 * per_round
 
     @pytest.mark.usefixtures("fan_out_every_superstep")
     def test_pipe_bytes_are_independent_of_scale(self):

@@ -10,9 +10,10 @@ interchange with the dense engine, and constructor validation.
 
 Floods of at most ``repro.bsp.parallel._LOCAL_SUPERSTEP_ARCS`` arcs run
 in the parent, which on these graphs is every superstep — so the suites
-about workers force fan-out (``fan_out_every_superstep``), and
+about workers force fan-out (``fan_out_every_superstep``),
 ``TestLocalSupersteps`` covers the selection itself at thresholds on
-both sides of, and inside, a run.
+both sides of, and inside, a run, and ``TestParentAccountedFloods`` the
+near-full floods the parent accounts without a scatter exchange.
 
 Set ``SHARDED_WORKERS`` (comma-separated) to restrict the worker counts
 exercised — CI's multiprocessing smoke job runs the suite with
@@ -768,11 +769,12 @@ class TestLocalSupersteps:
         assert set(_local_decisions(local_tel).values()) == {1}
         assert not local_tel.spans_named("barrier")
         assert not [c for c in local_tel.counters if c.name == "pipe_bytes"]
-        # Only superstep 0's flood is above the threshold: its scatter
-        # barrier, and the gather barrier that delivers it at superstep 1.
+        # Only superstep 0's flood is above the threshold.  It is full, so
+        # the parent accounts it: no scatter barrier, only the gather
+        # barrier that selects and delivers it at superstep 1.
         decisions = _local_decisions(split_tel)
         assert decisions[0] == 0 and set(decisions.values()) == {0, 1}
-        assert _barriers(split_tel, "scatter") == {0}
+        assert _barriers(split_tel, "scatter") == set()
         assert _barriers(split_tel, "gather") == {1}
         exchanged = sum(
             c.value for c in split_tel.counters if c.name == "pipe_bytes"
@@ -842,6 +844,130 @@ class TestLocalSupersteps:
             sharded = engine.run(DenseBreadthFirstSearch(6))
         assert_results_equal(dense, sharded)
         assert not tel.spans_named("barrier")
+
+
+# -- near-full floods ------------------------------------------------------
+
+#: On rmat8 (2 666 arcs) CC floods 2 666, 2 523, 385 and 4 arcs: at this
+#: threshold the first two leave out at most 200 arcs and are accounted
+#: by the parent, the third is scattered, the last stays local.
+ACCOUNTED_THRESHOLD = 200
+
+
+def _flood_forms(result, num_arcs, threshold):
+    """``(accounted, scattered)`` supersteps of a run, from its floods."""
+    accounted, scattered = set(), set()
+    for superstep, flood in enumerate(result.messages_per_superstep):
+        if flood > threshold:
+            near_full = num_arcs - flood <= threshold
+            (accounted if near_full else scattered).add(superstep)
+    return accounted, scattered
+
+
+def _barrier_counts(tel):
+    """``{(phase, superstep): barrier spans}``."""
+    counts = {}
+    for span in tel.spans_named("barrier", track=MAIN_TRACK):
+        key = (span.args["phase"], span.superstep)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+class TestParentAccountedFloods:
+    """A flood that leaves out at most ``_LOCAL_SUPERSTEP_ARCS`` arcs is
+    accounted by the parent (no scatter exchange) and selected by the
+    workers as they deliver it: one exchange, and only if the program
+    reads its messages."""
+
+    @pytest.fixture(scope="class")
+    def rmat8(self):
+        return GRAPHS["rmat8"]()
+
+    @pytest.mark.parametrize("algorithm", ["cc", "pagerank"])
+    def test_one_delivery_barrier_and_no_scatter(
+        self, rmat8, algorithm, monkeypatch
+    ):
+        monkeypatch.setattr(
+            parallel, "_LOCAL_SUPERSTEP_ARCS", ACCOUNTED_THRESHOLD
+        )
+        make_program, engine_kwargs, float_values = ALGORITHMS[algorithm]
+        dense = DenseBSPEngine(rmat8, **engine_kwargs).run(make_program())
+        tel = Telemetry("accounted")
+        with ShardedBSPEngine(
+            rmat8, num_workers=2, telemetry=tel, **engine_kwargs
+        ) as engine:
+            sharded = engine.run(make_program())
+        assert_results_equal(dense, sharded, float_values=float_values)
+        accounted, scattered = _flood_forms(
+            dense, rmat8.num_arcs, ACCOUNTED_THRESHOLD
+        )
+        if algorithm == "cc":
+            assert (accounted, scattered) == ({0, 1}, {2})
+        else:
+            assert accounted == set(range(8)) and not scattered
+        delivered = {s + 1 for s in accounted | scattered}
+        # One barrier per exchange: a scatter for each scattered flood,
+        # a gather (the accounted floods': a deliver) for every flood.
+        assert _barrier_counts(tel) == {
+            **{("scatter", s): 1 for s in scattered},
+            **{("gather", s): 1 for s in delivered},
+        }
+
+    @pytest.mark.parametrize("threshold", [503, 502], ids=["at", "below"])
+    def test_bfs_pays_no_exchange_for_an_accounted_flood(
+        self, rmat8, threshold, monkeypatch
+    ):
+        """BFS(0)'s widest flood (superstep 1) takes 2 163 of the 2 666
+        arcs and leaves out 503.  At a threshold of 503 the parent
+        accounts it, and BFS, which never reads its messages, records no
+        barrier at all; one arc lower it is a scatter exchange.  SSSP's
+        floods are the same, and it reads them: one delivery."""
+        monkeypatch.setattr(parallel, "_LOCAL_SUPERSTEP_ARCS", threshold)
+        for make_program, reads in (
+            (lambda: DenseBreadthFirstSearch(0), False),
+            (lambda: DenseShortestPaths(0), True),
+        ):
+            dense = DenseBSPEngine(rmat8).run(make_program())
+            assert dense.messages_per_superstep == [117, 2163, 382, 4, 0]
+            tel = Telemetry("bfs")
+            with ShardedBSPEngine(
+                rmat8, num_workers=2, telemetry=tel
+            ) as engine:
+                sharded = engine.run(make_program())
+            assert_results_equal(dense, sharded)
+            assert _local_decisions(tel)[1] == 0
+            expected = {("gather", 2): 1} if reads else {}
+            if threshold == 502:
+                expected[("scatter", 1)] = 1
+            assert _barrier_counts(tel) == expected
+
+    @pytest.mark.parametrize("check", [False, True], ids=["plain", "check"])
+    @pytest.mark.parametrize("partition", POLICIES)
+    @pytest.mark.parametrize("num_workers", [1, 2, 3, 4], ids=lambda w: f"w{w}")
+    def test_matches_dense_with_the_rule_firing(
+        self, rmat8, num_workers, partition, check, monkeypatch
+    ):
+        monkeypatch.setattr(
+            parallel, "_LOCAL_SUPERSTEP_ARCS", ACCOUNTED_THRESHOLD
+        )
+        aggregators = {"dangling": SumAggregator()}
+        with ShardedBSPEngine(
+            rmat8,
+            num_workers=num_workers,
+            partition=partition,
+            check=check,
+            aggregators=aggregators,
+        ) as engine:
+            for algorithm in sorted(ALGORITHMS):
+                make_program, _, float_values = ALGORITHMS[algorithm]
+                dense = DenseBSPEngine(rmat8, aggregators=aggregators).run(
+                    make_program()
+                )
+                assert_results_equal(
+                    dense,
+                    engine.run(make_program()),
+                    float_values=float_values and num_workers > 1,
+                )
 
 
 # -- small supersteps on a high-diameter graph -----------------------------
