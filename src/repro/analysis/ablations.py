@@ -5,14 +5,10 @@ returns its numbers as a JSON-serializable dictionary (rounded for
 display).  ``python -m repro.cli ablation-<name>`` prints it; the claims
 each ablation supports are asserted in the test suite.  Work counts
 (messages, wedges, imbalance) are exact and simulated seconds are
-deterministic; only the streaming ablation reports wall-clock time.
+deterministic.
 """
 
 from __future__ import annotations
-
-import time
-
-import numpy as np
 
 from repro.analysis.experiments import run_fig4, run_table1
 from repro.analysis.workload import ExperimentConfig, build_workload, traced
@@ -26,10 +22,8 @@ from repro.cluster import (
     partition_stats,
     simulate_cluster_bsp,
 )
-from repro.graph import rmat, watts_strogatz
-from repro.graph.streaming import StreamingGraph
+from repro.graph import watts_strogatz
 from repro.graphct import clustering_coefficients, count_triangles
-from repro.graphct.streaming_clustering import StreamingClusteringCoefficients
 from repro.xmt.calibration import DEFAULT_COSTS
 from repro.xmt.cost_model import simulate
 from repro.xmt.machine import XMTMachine
@@ -41,14 +35,11 @@ __all__ = [
     "run_partitioning",
     "run_queue_design",
     "run_scale_sweep",
-    "run_streaming_clustering",
     "run_triangle_density",
 ]
 
 #: Cluster size of the partitioning ablation.
 PARTITION_MACHINES = 32
-#: Random edge insertions replayed by the streaming ablation.
-STREAM_BATCH = 100
 #: Watts–Strogatz rewiring probabilities of the triangle-density ablation.
 REWIRES = (0.02, 0.2, 0.9)
 
@@ -205,44 +196,6 @@ def run_partitioning(config: ExperimentConfig) -> dict:
         },
         "cut_fraction": round(stats["hash"].cut_fraction, 3),
         "cluster_seconds": {k: round(v, 4) for k, v in seconds.items()},
-    }
-
-
-def run_streaming_clustering(config: ExperimentConfig) -> dict:
-    """Streaming clustering coefficients: incremental update vs recount.
-
-    Ref [12]'s headline: applying random edge insertions one
-    neighbourhood intersection at a time beats recounting the graph.
-    The base graph is RMAT at scale ``min(config.scale, 11)`` with seed
-    ``config.seed + 1`` (the incremental path is pure Python).  Times
-    are host wall-clock seconds.
-    """
-    base = rmat(
-        scale=min(config.scale, 11),
-        edge_factor=config.edge_factor,
-        seed=config.seed + 1,
-    )
-    rng = np.random.default_rng(5)
-    updates = [
-        (int(a), int(b))
-        for a, b in rng.integers(0, base.num_vertices, (STREAM_BATCH, 2))
-        if a != b
-    ]
-    tracker = StreamingClusteringCoefficients(StreamingGraph.from_csr(base))
-    t0 = time.perf_counter()
-    tracker.apply_batch(insertions=updates)
-    incremental = time.perf_counter() - t0
-    snapshot = tracker.graph.snapshot()
-    t0 = time.perf_counter()
-    count_triangles(snapshot)
-    recompute = time.perf_counter() - t0
-    per_update = incremental / max(len(updates), 1)
-    return {
-        "batch": len(updates),
-        "incremental_seconds": round(incremental, 4),
-        "recompute_seconds": round(recompute, 4),
-        "speedup_per_update": round(recompute / per_update, 1),
-        "triangles": tracker.total_triangles,
     }
 
 

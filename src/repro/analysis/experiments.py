@@ -1049,8 +1049,7 @@ def _ablation(name: str) -> Experiment:
 #: The ablations of EXPERIMENTS.md, each ``ablation-<name>`` below.
 ABLATIONS = (
     "hotspot", "combiner", "degree_ordering", "scale_sweep",
-    "queue_design", "partitioning", "streaming_clustering",
-    "triangle_density",
+    "queue_design", "partitioning", "triangle_density",
 )
 
 #: ``repro <name>`` → its :class:`Experiment`: the one list of them.

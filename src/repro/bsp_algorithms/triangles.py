@@ -15,13 +15,15 @@ Three supersteps replace the shared-memory triply-nested loop:
 messages generated is much larger than the number of edges" (§V): the
 paper counts 5.5 billion possible-triangle messages against 30.9 million
 actual triangles — 181x the shared-memory writes for 9.4x the time.
+
+:func:`bsp_count_triangles` runs the three supersteps whole-graph at a
+time, serially: superstep 2's membership probes are the closure scan it
+shares with the GraphCT counter (:mod:`repro.graph.wedges`).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from multiprocessing import get_all_start_methods, get_context
 from typing import Sequence
 
 import numpy as np
@@ -30,14 +32,8 @@ from repro.bsp.instrumentation import record_superstep
 from repro.bsp.vertex import VertexContext, VertexProgram
 from repro.graph.csr import CSRGraph
 from repro.graph.dag import ascending_orientation
-from repro.graph.wedges import (
-    WEDGE_BATCH,
-    WedgeIndex,
-    build_wedge_index,
-    iter_closed_wedges,
-)
+from repro.graph.wedges import closed_wedges
 from repro.runtime.loops import Tracer
-from repro.telemetry.core import NULL_TELEMETRY, worker_track
 from repro.xmt.calibration import DEFAULT_COSTS, KernelCosts
 from repro.xmt.trace import WorkTrace
 
@@ -87,7 +83,8 @@ class BSPTriangleResult:
     """Outcome of the vectorized BSP triangle counting."""
 
     total_triangles: int
-    #: Triangles counted at their minimum-id corner.
+    #: Triangles counted at their minimum-id corner (read-only: the
+    #: graph's memoized closure histogram).
     per_vertex: np.ndarray
     #: Possible triangles materialized as superstep-1 messages.
     possible_triangles: int
@@ -101,83 +98,29 @@ class BSPTriangleResult:
         return sum(self.messages_per_superstep)
 
 
-# -- sharded closure scan (multiprocessing.Pool helpers) ---------------
-_SCAN_INDEX: WedgeIndex | None = None
-
-
-def _scan_init(index: WedgeIndex) -> None:
-    """Pool initializer: stash the wedge index once per worker."""
-    global _SCAN_INDEX
-    _SCAN_INDEX = index
-
-
-def _scan_arc_range(
-    arc_range: tuple[int, int],
-) -> tuple[int, np.ndarray, int]:
-    """Closure-scan one contiguous out-arc range.
-
-    Returns ``(closed, per_vertex, busy_ns)`` — the triangle count of
-    the range, the per-minimum-corner histogram, and the worker's busy
-    time for telemetry attribution.
-    """
-    t0 = time.perf_counter_ns()
-    index = _SCAN_INDEX
-    n = index.num_vertices
-    per_vertex = np.zeros(n, dtype=np.int64)
-    closed = 0
-    for u, _centre, _w, hit in iter_closed_wedges(
-        index, batch_size=WEDGE_BATCH, arc_range=arc_range
-    ):
-        hits = int(np.count_nonzero(hit))
-        closed += hits
-        if hits:
-            per_vertex += np.bincount(u[hit], minlength=n)
-    return closed, per_vertex, time.perf_counter_ns() - t0
-
-
-def _arc_ranges(index: WedgeIndex, num_workers: int) -> list[tuple[int, int]]:
-    """Split the out-arcs into contiguous ranges of ~equal wedge load."""
-    m = int(index.dag_dst.size)
-    cum = np.concatenate([[0], np.cumsum(index.wedges_per_arc)])
-    total = int(cum[-1])
-    bounds = [0]
-    for i in range(1, num_workers):
-        b = int(np.searchsorted(cum, total * i // num_workers))
-        bounds.append(min(max(b, bounds[-1]), m))
-    bounds.append(m)
-    return [(bounds[i], bounds[i + 1]) for i in range(num_workers)]
-
-
 def bsp_count_triangles(
     graph: CSRGraph,
     *,
     costs: KernelCosts = DEFAULT_COSTS,
-    num_workers: int | None = None,
-    telemetry=None,
 ) -> BSPTriangleResult:
     """Vectorized whole-superstep execution of Algorithm 3.
 
-    ``num_workers`` > 1 shards the superstep-2 closure scan (the
-    dominant cost — one membership test per possible triangle) over a
-    process pool, each worker taking one contiguous out-arc range of
-    roughly equal wedge load.  Per-range triangle counts and
-    per-minimum-corner histograms are integers, so the merge is exact
-    and the result is bit-identical to the serial scan.  ``telemetry``
-    records one wall-clock span per superstep plus per-worker scan
-    spans, without affecting results.
+    Superstep 2's closure test — one membership probe per possible
+    triangle, the dominant cost — is the graph's shared closure scan
+    (:func:`repro.graph.wedges.closed_wedges`, memoized per graph), so a
+    GraphCT count of the same graph does not scan again.  The returned
+    ``per_vertex`` is that scan's read-only minimum-corner histogram.
+    Messages and charges come from the DAG's degree vectors, not from
+    the scan's order.
     """
     if graph.directed:
         raise ValueError("BSP triangle counting requires an undirected graph")
-    tel = NULL_TELEMETRY if telemetry is None else telemetry
     n = graph.num_vertices
     tracer = Tracer(label="bsp/triangles")
     dag = ascending_orientation(graph)
-    # Wedge enumeration + closure check shared with the GraphCT kernel
-    # ("both algorithms perform the same number of reads to the graph").
-    index = build_wedge_index(dag)
-    dag_dst = index.dag_dst
-    in_degree = index.in_degree
-    wedges_per_arc = index.wedges_per_arc
+    dag_dst = dag.col_idx
+    in_degree = dag.in_degrees()
+    wedges_per_arc = in_degree[dag.arc_sources()]
 
     message_hist: list[int] = []
     active_hist: list[int] = []
@@ -186,7 +129,6 @@ def bsp_count_triangles(
 
     # --- superstep 0: v -> n for v < n: one message per undirected edge.
     # Every vertex scans its full neighbour list to apply the v < n test.
-    step_start = tel.now()
     s0_sent = int(dag_dst.size)
     enq0 = in_degree
     record_superstep(
@@ -197,19 +139,13 @@ def bsp_count_triangles(
     )
     message_hist.append(s0_sent)
     active_hist.append(n)
-    if tel.enabled:
-        tel.add_span(
-            "superstep", step_start, tel.now(), category="superstep",
-            superstep=0, active=n, sent=s0_sent, received=0,
-        )
-        tel.counter("messages_sent", s0_sent, superstep=0)
 
     # --- superstep 1: each message m at v fans out to neighbours n > v.
     # Receivers of superstep-0 messages are the DAG arc destinations;
     # vertex v receives in_degree(v) messages and forwards each to its
     # out_degree(v) higher neighbours: wedge count = sum in*out.
-    step_start = tel.now()
-    s1_sent = index.total_wedges
+    closure = closed_wedges(graph, "id")
+    s1_sent = closure.wedges
     enq1 = (
         np.bincount(dag_dst, weights=wedges_per_arc, minlength=n).astype(
             np.int64
@@ -230,52 +166,12 @@ def bsp_count_triangles(
     )
     message_hist.append(s1_sent)
     active_hist.append(s0_receivers)
-    if tel.enabled:
-        tel.add_span(
-            "superstep", step_start, tel.now(), category="superstep",
-            superstep=1, active=s0_receivers, sent=s1_sent,
-            received=s0_sent,
-        )
-        tel.counter("messages_sent", s1_sent, superstep=1)
 
     # --- superstep 2: closure check m ∈ Neighbors(v); hits notify m.
     # Each wedge is one message (payload u = m, destination w); a hit
     # notifies the minimum corner m.
-    step_start = tel.now()
-    per_vertex = np.zeros(n, dtype=np.int64)
-    total_triangles = 0
-    if num_workers is not None and num_workers > 1 and s1_sent:
-        # Sharded closure scan: disjoint contiguous out-arc ranges
-        # partition the wedge set; integer merges keep the count and
-        # histogram bit-identical to the serial scan.
-        method = "fork" if "fork" in get_all_start_methods() else "spawn"
-        ranges = _arc_ranges(index, num_workers)
-        with get_context(method).Pool(
-            processes=num_workers, initializer=_scan_init, initargs=(index,)
-        ) as pool:
-            for wkr, (closed, hist, busy_ns) in enumerate(
-                pool.imap(_scan_arc_range, ranges)
-            ):
-                total_triangles += closed
-                per_vertex += hist
-                if tel.enabled:
-                    t_recv = tel.now()
-                    tel.add_span(
-                        "scan", max(step_start, t_recv - busy_ns), t_recv,
-                        category="worker", track=worker_track(wkr),
-                        superstep=2, worker=wkr,
-                        arcs=int(ranges[wkr][1] - ranges[wkr][0]),
-                        closed=int(closed),
-                    )
-    else:
-        for u, _centre, _w, hit in iter_closed_wedges(
-            index, batch_size=WEDGE_BATCH
-        ):
-            closed = int(np.count_nonzero(hit))
-            total_triangles += closed
-            if closed:
-                per_vertex += np.bincount(u[hit], minlength=n)
-
+    total_triangles = closure.triangles
+    per_vertex = closure.at_min_corner
     s1_receivers = int(np.count_nonzero(enq1))
     s2_sent = total_triangles                     # found-notifications
     enq2 = per_vertex                             # one message per hit, to m
@@ -292,18 +188,10 @@ def bsp_count_triangles(
     )
     message_hist.append(s2_sent)
     active_hist.append(s1_receivers)
-    if tel.enabled:
-        tel.add_span(
-            "superstep", step_start, tel.now(), category="superstep",
-            superstep=2, active=s1_receivers, sent=s2_sent,
-            received=s1_sent,
-        )
-        tel.counter("messages_sent", s2_sent, superstep=2)
 
     # --- drain superstep: deliver the notifications.
     num_supersteps = 3
     if s2_sent:
-        step_start = tel.now()
         s2_receivers = int(np.count_nonzero(per_vertex))
         record_superstep(
             tracer, superstep=3, active=s2_receivers, received=s2_sent,
@@ -312,13 +200,6 @@ def bsp_count_triangles(
         message_hist.append(0)
         active_hist.append(s2_receivers)
         num_supersteps = 4
-        if tel.enabled:
-            tel.add_span(
-                "superstep", step_start, tel.now(), category="superstep",
-                superstep=3, active=s2_receivers, sent=0,
-                received=s2_sent,
-            )
-            tel.counter("messages_sent", 0, superstep=3)
 
     return BSPTriangleResult(
         total_triangles=total_triangles,

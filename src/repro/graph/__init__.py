@@ -39,14 +39,12 @@ from repro.graph.properties import (
     peripheral_vertex,
     reachable_from,
 )
-from repro.graph.streaming import StreamingGraph
 from repro.graph.subgraph import extract_subgraph, largest_component_subgraph
 
 __all__ = [
     "CSRGraph",
     "GraphBuilder",
     "RMATParameters",
-    "StreamingGraph",
     "ascending_orientation",
     "barabasi_albert",
     "connected_component_sizes",

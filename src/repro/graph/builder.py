@@ -148,7 +148,7 @@ def from_edge_list(
 class GraphBuilder:
     """Incremental edge accumulator with a :meth:`build` finalizer.
 
-    Useful when edges arrive in batches (file readers, streaming examples).
+    Useful when edges arrive in batches (file readers).
     Batches are buffered as arrays and concatenated once at build time, so
     accumulation stays O(total edges).
 

@@ -1,147 +1,121 @@
-"""Batched ordered-wedge enumeration over an oriented DAG.
+"""The wedge-closure scan both triangle counters share.
 
 Both triangle counters — the shared-memory GraphCT kernel
 (:mod:`repro.graphct.triangles`) and the BSP Algorithm 3 rendition
-(:mod:`repro.bsp_algorithms.triangles`) — walk the same wedge set: for
-every DAG arc ``centre → w``, one wedge per in-neighbour ``u`` of the
-centre, closed iff the arc ``u → w`` exists.  The enumeration and the
-binary-search closure test live here so the two counters cannot drift;
-they differ only in how wedges are *charged* (implicit loop reads vs.
-materialized possible-triangle messages).
+(:mod:`repro.bsp_algorithms.triangles`) — close the same wedge set of an
+oriented DAG: for every DAG arc ``u → c``, one wedge ``(u, c, w)`` per
+out-neighbour ``w`` of ``c``, closed iff the arc ``u → w`` exists.  That
+is Algorithm 3's own superstep-1 expansion: the id ``u`` arriving at
+``c`` is re-sent along c's out-row.  ``u`` is the wedge's minimum
+corner, so consecutive closure keys ``u·n + w`` share ``u`` and the
+binary search over the sorted arc keys stays inside one row's window.
+
+:func:`closed_wedges` runs the scan once per graph and orientation and
+memoizes its outcome in the graph's derived-array cache.  The counters
+differ only in how they *charge* the wedges (implicit loop reads vs.
+materialized possible-triangle messages), and those charges are derived
+from counts, so they do not depend on the enumeration order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.graph.dag import ascending_orientation, degree_orientation
 from repro.graph.properties import _ragged_arange
 
-__all__ = ["WEDGE_BATCH", "WedgeIndex", "build_wedge_index", "iter_closed_wedges"]
+__all__ = ["WEDGE_BATCH", "WedgeClosure", "closed_wedges"]
 
 #: Wedges processed per vectorized batch (bounds peak memory).
 WEDGE_BATCH = 4_000_000
 
+_ORIENTATIONS = {"id": ascending_orientation, "degree": degree_orientation}
 
-@dataclass(frozen=True)
-class WedgeIndex:
-    """Precomputed wedge structure of an oriented DAG.
 
-    Wedges centred at ``v``: (in-neighbour ``u``) x (out-neighbour ``w``)
-    in the orientation, enumerated per *out-arc* so each wedge appears
-    exactly once.
+class WedgeClosure(NamedTuple):
+    """Outcome of one closure scan (histograms are read-only)."""
+
+    #: Ordered wedges enumerated = the BSP algorithm's "possible triangles".
+    wedges: int
+    #: Closed wedges = unique triangles.
+    triangles: int
+    #: Triangles per vertex, counted at their minimum corner only.
+    at_min_corner: np.ndarray
+    #: Triangles per vertex, counted at all three corners.
+    at_corners: np.ndarray
+
+
+def closed_wedges(graph: CSRGraph, ordering: str = "id") -> WedgeClosure:
+    """Close every wedge of ``graph`` oriented by ``ordering`` (memoized).
+
+    ``ordering`` is ``"id"`` (Algorithm 3's vertex-id order) or
+    ``"degree"`` (the (degree, id) order of the ablation); the minimum
+    corner is the minimum in that order.
     """
-
-    num_vertices: int
-    #: DAG arcs as parallel (source, destination) vectors, CSR order.
-    dag_src: np.ndarray
-    dag_dst: np.ndarray
-    #: ``src * n + dst`` — sorted, for O(log m) closure tests.
-    arc_keys: np.ndarray
-    #: DAG in-degree per vertex (= messages received in BSP superstep 1).
-    in_degree: np.ndarray
-    #: Wedges enumerated at each out-arc: ``in_degree[dag_src]``.
-    wedges_per_arc: np.ndarray
-    #: In-adjacency of the DAG: sources of reversed arcs grouped by
-    #: destination, with ``rev_ptr`` the per-vertex group offsets.
-    rev_src: np.ndarray
-    rev_ptr: np.ndarray
-
-    @property
-    def total_wedges(self) -> int:
-        """Ordered wedges = the BSP algorithm's "possible triangles"."""
-        return int(self.wedges_per_arc.sum())
+    if ordering not in _ORIENTATIONS:
+        raise ValueError("ordering must be 'id' or 'degree'")
+    key = ("closed_wedges", ordering)
+    cached = graph._degree_cache.get(key)
+    if cached is None:
+        cached = _scan(_ORIENTATIONS[ordering](graph))
+        cached.at_min_corner.setflags(write=False)
+        cached.at_corners.setflags(write=False)
+        graph._degree_cache[key] = cached
+    return cached
 
 
-def build_wedge_index(dag: CSRGraph) -> WedgeIndex:
-    """Index an oriented DAG (from :mod:`repro.graph.dag`) for wedges."""
+def _scan(dag: CSRGraph) -> WedgeClosure:
+    """Enumerate the wedges of ``dag`` per arc ``u → c``, in batches."""
     n = dag.num_vertices
+    row_ptr = dag.row_ptr
     dag_src = dag.arc_sources()
     dag_dst = dag.col_idx
     # (src, dst) is lexicographically sorted in CSR order, so the fused
     # keys are sorted too.
     arc_keys = dag_src * n + dag_dst
-    in_degree = (
-        np.bincount(dag_dst, minlength=n).astype(np.int64, copy=False)
-        if dag_dst.size
-        else np.zeros(n, dtype=np.int64)
-    )
-    rev_order = np.argsort(dag_dst, kind="stable")
-    rev_src = dag_src[rev_order]
-    rev_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(in_degree, out=rev_ptr[1:])
-    return WedgeIndex(
-        num_vertices=n,
-        dag_src=dag_src,
-        dag_dst=dag_dst,
-        arc_keys=arc_keys,
-        in_degree=in_degree,
-        wedges_per_arc=in_degree[dag_src],
-        rev_src=rev_src,
-        rev_ptr=rev_ptr,
-    )
-
-
-def iter_closed_wedges(
-    index: WedgeIndex,
-    *,
-    batch_size: int = WEDGE_BATCH,
-    arc_range: tuple[int, int] | None = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Enumerate wedges in batches with their closure verdicts.
-
-    Yields ``(u, centre, w, hit)`` per batch: the wedge corners
-    ``u < centre < w`` (in the DAG's total order) and a boolean mask —
-    ``hit[i]`` iff the arc ``u[i] → w[i]`` exists, i.e. the wedge closes
-    into a triangle.  Batches cover the out-arcs in CSR order and are
-    sized to roughly ``batch_size`` wedges (always at least one arc, so
-    a single pathological hub cannot stall progress).
-
-    ``arc_range=(lo, hi)`` restricts enumeration to the half-open
-    out-arc interval ``[lo, hi)``.  Because each wedge belongs to
-    exactly one out-arc, a partition of ``[0, num_arcs)`` into disjoint
-    ranges partitions the wedge set — the basis of the sharded closure
-    scan in :func:`repro.bsp_algorithms.triangles.bsp_count_triangles`.
-    """
-    dag_src = index.dag_src
-    dag_dst = index.dag_dst
-    arc_keys = index.arc_keys
-    rev_src = index.rev_src
-    rev_ptr = index.rev_ptr
-    wedges_per_arc = index.wedges_per_arc
-    n = index.num_vertices
-
-    if arc_range is None:
-        arc_lo, arc_end = 0, int(dag_dst.size)
-    else:
-        arc_lo, arc_end = int(arc_range[0]), int(arc_range[1])
-        if not 0 <= arc_lo <= arc_end <= dag_dst.size:
-            raise ValueError(
-                f"arc_range {arc_range!r} outside [0, {dag_dst.size}]"
-            )
+    wedges_per_arc = dag.degrees()[dag_dst]
+    at_min = np.zeros(n, dtype=np.int64)
+    at_corners = np.zeros(n, dtype=np.int64)
+    triangles = 0
 
     arc_starts = np.concatenate([[0], np.cumsum(wedges_per_arc)])
+    arc_lo, arc_end = 0, int(dag_dst.size)
     while arc_lo < arc_end:
+        # Batches of about WEDGE_BATCH wedges, at least one arc each, so
+        # a single hub row cannot stall progress.
         arc_hi = int(
-            np.searchsorted(arc_starts, arc_starts[arc_lo] + batch_size, "right")
+            np.searchsorted(arc_starts, arc_starts[arc_lo] + WEDGE_BATCH, "right")
         ) - 1
         arc_hi = min(max(arc_hi, arc_lo + 1), arc_end)
         sel = slice(arc_lo, arc_hi)
         counts = wedges_per_arc[sel]
         if counts.sum():
-            centre = np.repeat(dag_src[sel], counts)
-            w = np.repeat(dag_dst[sel], counts)
-            u_pos = np.repeat(rev_ptr[dag_src[sel]], counts) + _ragged_arange(
-                counts
-            )
-            u = rev_src[u_pos]
+            u = np.repeat(dag_src[sel], counts)
+            w = dag_dst[
+                np.repeat(row_ptr[dag_dst[sel]], counts) + _ragged_arange(counts)
+            ]
             keys = u * n + w
             # counts.sum() > 0 implies the DAG has arcs, so arc_keys is
             # non-empty here and clamping the insertion point is safe.
             pos = np.minimum(np.searchsorted(arc_keys, keys), arc_keys.size - 1)
             hit = arc_keys[pos] == keys
-            yield u, centre, w, hit
+            closed = int(np.count_nonzero(hit))
+            if closed:
+                triangles += closed
+                low = u[hit]
+                centre = np.repeat(dag_dst[sel], counts)[hit]
+                at_min += np.bincount(low, minlength=n)
+                at_corners += np.bincount(
+                    np.concatenate([low, centre, w[hit]]), minlength=n
+                )
         arc_lo = arc_hi
+
+    return WedgeClosure(
+        wedges=int(wedges_per_arc.sum()),
+        triangles=triangles,
+        at_min_corner=at_min,
+        at_corners=at_corners,
+    )

@@ -25,9 +25,6 @@ from repro.graphct.framework import GraphCT
 from repro.graphct.kcore import KCoreResult, k_core_decomposition
 from repro.graphct.pagerank import PageRankResult, pagerank
 from repro.graphct.sssp import SSSPResult, sssp
-from repro.graphct.streaming_clustering import (
-    StreamingClusteringCoefficients,
-)
 from repro.graphct.triangles import (
     ClusteringResult,
     TriangleResult,
@@ -43,7 +40,6 @@ __all__ = [
     "KCoreResult",
     "PageRankResult",
     "SSSPResult",
-    "StreamingClusteringCoefficients",
     "TriangleResult",
     "breadth_first_search",
     "clustering_coefficients",

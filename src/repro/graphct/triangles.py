@@ -9,11 +9,13 @@ possible triangle as a message).
 
 A total order over vertices (ids, per Algorithm 3) restricts counting to
 triples v_i < v_j < v_k so each triangle is found exactly once.  The
-vectorized implementation enumerates ordered wedges u < v < w around each
-middle vertex v and closes them with a binary search over the oriented arc
-set; the *work accounting* charges the full triply-nested loop the paper
-describes (``sum_v sum_{u in N(v)} d(u)`` adjacency reads), identically
-for both programming models ("Both algorithms perform the same number of
+vectorized implementation reads the graph's memoized closure scan
+(:func:`repro.graph.wedges.closed_wedges`, shared with the BSP counter):
+ordered wedges u < v < w enumerated from their minimum corner u and
+closed with a binary search over the oriented arc set.  The *work
+accounting* charges the full triply-nested loop the paper describes
+(``sum_v sum_{u in N(v)} d(u)`` adjacency reads), identically for both
+programming models ("Both algorithms perform the same number of
 reads to the graph").
 """
 
@@ -24,12 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.graph.dag import ascending_orientation, degree_orientation
-from repro.graph.wedges import (
-    WEDGE_BATCH,
-    build_wedge_index,
-    iter_closed_wedges,
-)
+from repro.graph.wedges import closed_wedges
 from repro.runtime.loops import Tracer
 from repro.xmt.calibration import DEFAULT_COSTS, KernelCosts
 from repro.xmt.trace import WorkTrace
@@ -49,7 +46,8 @@ class TriangleResult:
     #: Unique triangles in the graph (each counted once).
     total_triangles: int
     #: Triangles incident on each vertex (each triangle counts at its
-    #: three corners), for clustering coefficients.
+    #: three corners), for clustering coefficients.  Read-only: the
+    #: graph's memoized closure histogram.
     per_vertex: np.ndarray
     #: Ordered wedges examined — the BSP algorithm's "possible triangles".
     wedges_checked: int
@@ -81,29 +79,10 @@ def count_triangles(
     """
     if graph.directed:
         raise ValueError("triangle counting requires an undirected graph")
-    if ordering == "id":
-        dag = ascending_orientation(graph)
-    elif ordering == "degree":
-        dag = degree_orientation(graph)
-    else:
-        raise ValueError("ordering must be 'id' or 'degree'")
-
+    closure = closed_wedges(graph, ordering)
     n = graph.num_vertices
     tracer = Tracer(label="graphct/triangles")
-    per_vertex = np.zeros(n, dtype=np.int64)
-
-    # Batched wedge enumeration + closure check (shared with the BSP
-    # counter so the two cannot drift).
-    index = build_wedge_index(dag)
-    total_wedges = index.total_wedges
-    total_triangles = 0
     deg = graph.degrees()
-    for u, centre, w, hit in iter_closed_wedges(index, batch_size=WEDGE_BATCH):
-        closed = int(np.count_nonzero(hit))
-        total_triangles += closed
-        if closed:
-            corners = np.concatenate([u[hit], centre[hit], w[hit]])
-            per_vertex += np.bincount(corners, minlength=n)
 
     # --- work accounting: the paper's triply-nested shared-memory loop.
     # Inner iterations = sum over all (v, u in N(v)) of d(u) = sum d(u)^2.
@@ -114,13 +93,13 @@ def count_triangles(
             + n * costs.vertex_touch_instructions,
             reads=inner_steps,
             # "only produces a write when a triangle is detected" (§V)
-            writes=float(total_triangles),
+            writes=float(closure.triangles),
         )
 
     return TriangleResult(
-        total_triangles=total_triangles,
-        per_vertex=per_vertex,
-        wedges_checked=total_wedges,
+        total_triangles=closure.triangles,
+        per_vertex=closure.at_corners,
+        wedges_checked=closure.wedges,
         trace=tracer.trace,
     )
 

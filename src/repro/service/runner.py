@@ -110,6 +110,8 @@ def canonicalize_params(
         return out
     if algorithm == "kcore":
         return {"k": _require_int(params, "k", minimum=0)}
+    if algorithm == "triangles" and graph.directed:
+        raise ValueError("'triangles' requires an undirected graph")
     return {}  # cc, triangles take no parameters
 
 
@@ -127,8 +129,6 @@ def run_algorithm(
     graph: CSRGraph,
     *,
     engine=None,
-    num_workers: int | None = None,
-    telemetry=None,
     metrics=NULL_METRICS,
 ) -> dict:
     """Execute one canonical request; return the JSON-safe payload.
@@ -136,30 +136,25 @@ def run_algorithm(
     ``engine`` is the service's warm :class:`ShardedBSPEngine`, reused
     (and left open) by every engine-backed algorithm; its spans land in
     the telemetry the engine was built with.  Triangle counting has no
-    engine path — it shards its closure scan over its own pool, and
-    ``num_workers`` / ``telemetry`` are forwarded to it alone.
+    engine path: it runs serially in the calling job thread, on the
+    graph's memoized closure scan (:mod:`repro.graph.wedges`).
 
     ``metrics`` bridges engine activity up to the service registry:
-    ``repro_engine_busy`` is 1 while an engine-backed run holds the warm
-    engine, and each completed run adds its superstep count to
-    ``repro_engine_supersteps_total`` (the triangles pool counts too,
-    labelled by algorithm like everything else).
+    ``repro_engine_busy`` is 1 while any run executes (engine-backed
+    runs serialize on the warm engine's lock), and each completed run
+    adds its superstep count to ``repro_engine_supersteps_total``,
+    labelled by algorithm.
     """
     busy = metrics.gauge(
         "repro_engine_busy",
-        "Engine-backed jobs currently executing or awaiting the warm "
-        "engine (they serialize on its internal lock).",
+        "Algorithm runs currently executing or awaiting the warm engine "
+        "(engine-backed runs serialize on its internal lock).",
     )
-    if algorithm != "triangles":  # triangles runs on its own pool
-        busy.inc()
+    busy.inc()
     try:
-        common = _dispatch(
-            algorithm, params, graph,
-            engine=engine, num_workers=num_workers, telemetry=telemetry,
-        )
+        common = _dispatch(algorithm, params, graph, engine=engine)
     finally:
-        if algorithm != "triangles":
-            busy.dec()
+        busy.dec()
     metrics.counter(
         "repro_engine_runs_total",
         "Algorithm runs executed (cache misses).",
@@ -179,8 +174,6 @@ def _dispatch(
     graph: CSRGraph,
     *,
     engine=None,
-    num_workers: int | None = None,
-    telemetry=None,
 ) -> dict:
     """The per-algorithm wrapper calls behind :func:`run_algorithm`."""
     common: dict
@@ -217,9 +210,7 @@ def _dispatch(
             "core_size": int(in_core.sum()),
         }
     elif algorithm == "triangles":
-        res = bsp_count_triangles(
-            graph, num_workers=num_workers, telemetry=telemetry
-        )
+        res = bsp_count_triangles(graph)
         common = {
             "values": _num_list(res.per_vertex),
             "total_triangles": int(res.total_triangles),

@@ -360,8 +360,6 @@ ABLATION_CLAIMS = {
         and r["cluster_seconds"]["hash"]
         > 1.2 * r["cluster_seconds"]["balanced"]
     )),
-    # Wall-clock only: run, not judged (exactness is in test_streaming).
-    "streaming_clustering": (8, lambda r: r["triangles"] > 0),
     "triangle_density": (8, _density_claim),
 }
 

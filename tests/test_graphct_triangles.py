@@ -4,7 +4,9 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.graph import from_edge_list, ring_graph, star_graph, two_d_grid
+from repro.bsp_algorithms import bsp_count_triangles
+from repro.graph import from_edge_list, ring_graph, rmat, star_graph, two_d_grid
+from repro.graph import wedges
 from repro.graphct import clustering_coefficients, count_triangles
 
 
@@ -123,3 +125,34 @@ class TestClusteringCoefficients:
     def test_empty_graph(self):
         res = clustering_coefficients(from_edge_list([], num_vertices=3))
         assert res.global_coefficient == 0.0
+
+
+class TestClosureScanMemo:
+    """Both counters read one memoized closure scan per graph."""
+
+    def test_bsp_then_graphct_scans_once(self, monkeypatch):
+        scans = []
+        real_scan = wedges._scan
+
+        def counting_scan(dag):
+            scans.append(dag.num_arcs)
+            return real_scan(dag)
+
+        monkeypatch.setattr(wedges, "_scan", counting_scan)
+        g = rmat(scale=8, edge_factor=8, seed=11)
+        bsp = bsp_count_triangles(g)
+        shm = count_triangles(g)
+        assert len(scans) == 1
+        assert bsp.total_triangles == shm.total_triangles > 0
+        count_triangles(g, ordering="degree")  # a second orientation
+        assert len(scans) == 2
+
+    def test_returned_histograms_are_read_only(self):
+        g = complete_graph(5)
+        for res in (bsp_count_triangles(g), count_triangles(g)):
+            before = res.per_vertex.copy()
+            with pytest.raises(ValueError, match="read-only"):
+                res.per_vertex[0] += 1
+            assert np.array_equal(res.per_vertex, before)
+        assert count_triangles(g).per_vertex.tolist() == [6] * 5
+        assert bsp_count_triangles(g).per_vertex.tolist() == [6, 3, 1, 0, 0]

@@ -3,7 +3,9 @@ cross-model equivalence on random graphs."""
 
 from types import SimpleNamespace
 
+import networkx as nx
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +18,8 @@ from repro.bsp_algorithms import (
     bsp_count_triangles,
     bsp_sssp,
 )
-from repro.graph import from_edge_list
+from repro.graph import from_edge_list, star_graph
+from repro.graph.wedges import closed_wedges
 from repro.graphct import (
     breadth_first_search,
     connected_components,
@@ -41,6 +44,50 @@ def graphs(draw, max_vertices=20, max_edges=50):
         )
     )
     return from_edge_list(edges, n)
+
+
+def _min_corner_triangles(g, ordering):
+    """Brute-force triangles per vertex, counted at the minimum corner
+    of the total order ``ordering`` ("id" or (degree, id))."""
+    deg = g.degrees()
+    rank = (lambda v: v) if ordering == "id" else (lambda v: (deg[v], v))
+    adj = [set(g.neighbors(v).tolist()) - {v} for v in range(g.num_vertices)]
+    at_min = np.zeros(g.num_vertices, dtype=np.int64)
+    for a in range(g.num_vertices):
+        for b in adj[a]:
+            for c in adj[a] & adj[b]:
+                if a < b < c:
+                    at_min[min((a, b, c), key=rank)] += 1
+    return at_min
+
+
+def _networkx_triangles(g):
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.num_vertices))
+    nxg.add_edges_from((u, v) for u, v in g.edges() if u != v)
+    tri = nx.triangles(nxg)
+    return np.array([tri[v] for v in range(g.num_vertices)], dtype=np.int64)
+
+
+#: Fixed inputs beside the hypothesis graphs: a star (wedges, no
+#: triangles), a clique (every wedge closes) and edgeless graphs.
+FIXED_TRIANGLE_GRAPHS = {
+    "star": lambda: star_graph(9),
+    "clique": lambda: from_edge_list(
+        [(i, j) for i in range(7) for j in range(i + 1, 7)]
+    ),
+    "empty": lambda: from_edge_list([], 6),
+    "single_vertex": lambda: from_edge_list([], 1),
+}
+
+
+def _check_triangle_histograms(g, ordering):
+    shm = count_triangles(g, ordering=ordering)
+    assert np.array_equal(shm.per_vertex, _networkx_triangles(g))
+    at_min = _min_corner_triangles(g, ordering)
+    assert np.array_equal(closed_wedges(g, ordering).at_min_corner, at_min)
+    if ordering == "id":  # Algorithm 3 orders by id
+        assert np.array_equal(bsp_count_triangles(g).per_vertex, at_min)
 
 
 class TestConnectedComponentsProperties:
@@ -186,6 +233,17 @@ class TestTriangleProperties:
     def test_triangles_bounded_by_wedges(self, g):
         res = count_triangles(g)
         assert res.total_triangles <= res.wedges_checked
+
+    @pytest.mark.parametrize("ordering", ["id", "degree"])
+    @given(graphs())
+    @settings(max_examples=50)
+    def test_per_vertex_matches_oracles(self, ordering, g):
+        _check_triangle_histograms(g, ordering)
+
+    @pytest.mark.parametrize("ordering", ["id", "degree"])
+    @pytest.mark.parametrize("name", sorted(FIXED_TRIANGLE_GRAPHS))
+    def test_per_vertex_matches_oracles_on_fixed_graphs(self, name, ordering):
+        _check_triangle_histograms(FIXED_TRIANGLE_GRAPHS[name](), ordering)
 
 
 class TestSSSPProperties:

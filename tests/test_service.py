@@ -227,6 +227,11 @@ class TestCanonicalizeParams:
         with pytest.raises(ValueError, match="damping"):
             canonicalize_params("pagerank", {"damping": 1.5}, graph)
 
+    def test_triangles_on_a_directed_graph_is_rejected(self):
+        directed = from_edge_list([(0, 1), (1, 2), (2, 0)], directed=True)
+        with pytest.raises(ValueError, match="undirected"):
+            canonicalize_params("triangles", {}, directed)
+
 
 class TestJobManager:
     def test_failure_marks_failed_with_error(self):
@@ -306,17 +311,13 @@ class TestServiceHTTP:
         assert res["result"]["num_components"] == lib.num_components
         assert res["result"]["num_supersteps"] == lib.num_supersteps
 
-    def test_every_algorithm_serves_bit_identical_values(
-        self, client, graph, service
-    ):
+    def test_every_algorithm_serves_bit_identical_values(self, client, graph):
         lib = {
             "sssp": bsp_sssp(graph, 5).distances.tolist(),
             "kcore": np.asarray(
                 bsp_k_core(graph, 2).in_core, dtype=bool
             ).tolist(),
-            "triangles": bsp_count_triangles(
-                graph, num_workers=service.num_workers
-            ).per_vertex.tolist(),
+            "triangles": bsp_count_triangles(graph).per_vertex.tolist(),
         }
         params = {"sssp": {"source": 5}, "kcore": {"k": 2}, "triangles": {}}
         jobs = {}
@@ -927,6 +928,20 @@ class TestObservability:
 
 
 class TestFailedJobPropagation:
+    def test_triangles_on_a_directed_graph_is_400_over_http(self):
+        """Served ``.gr`` files are directed: a triangles request must be
+        refused at submit, not accepted and then failed in the runner."""
+        directed = from_edge_list([(0, 1), (1, 2), (2, 0)], directed=True)
+        with GraphAnalyticsService(
+            directed, num_workers=1, job_threads=1, cache_capacity=4
+        ) as svc, serving(svc) as client:
+            code, body = client.post(
+                "/jobs", {"algorithm": "triangles", "params": {}}
+            )
+            assert code == 400
+            assert "undirected" in body["error"]
+            assert svc.jobs.list_jobs() == []
+
     def test_runtime_failure_surfaces_error(self):
         """cc on a directed graph passes submit validation but fails in
         the runner; the error must reach the client, not vanish."""

@@ -25,7 +25,6 @@ from repro.bsp_algorithms import (
 from repro.bsp_algorithms.connected_components import (
     bsp_connected_components,
 )
-from repro.bsp_algorithms.triangles import bsp_count_triangles
 from repro.graph import rmat
 from repro.graphct.framework import GraphCT
 from repro.telemetry.core import (
@@ -324,23 +323,6 @@ class TestEngineInstrumentation:
         assert len(spans) == 1
         wf.connected_components()  # cache hit: no work, no span
         assert len(tel.spans_named("graphct/connected_components")) == 1
-
-
-class TestTriangleSharding:
-    def test_sharded_scan_bit_identical(self, graph):
-        serial = bsp_count_triangles(graph)
-        tel = Telemetry("tri")
-        sharded = bsp_count_triangles(graph, num_workers=2, telemetry=tel)
-        assert serial.total_triangles == sharded.total_triangles
-        assert np.array_equal(serial.per_vertex, sharded.per_vertex)
-        assert (
-            serial.messages_per_superstep == sharded.messages_per_superstep
-        )
-        assert _trace_rows(serial.trace) == _trace_rows(sharded.trace)
-        # One superstep span per superstep, worker scan spans present.
-        assert len(tel.spans_named("superstep")) == serial.num_supersteps
-        scans = [s for s in tel.spans if s.name == "scan"]
-        assert {s.track for s in scans} == {worker_track(0), worker_track(1)}
 
 
 # ---------------------------------------------------------------------
