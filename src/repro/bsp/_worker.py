@@ -43,8 +43,8 @@ import numpy as np
 from repro.bsp._scatter import NO_ARCS, complement_histogram, fill_left_out
 from repro.bsp._wire import PackedWire, ok_reply
 from repro.bsp.dense import DenseVertexProgram
-from repro.bsp.frontier import COMPLEMENT, arc_indices, select_arcs
-from repro.graph.csr import CSRGraph
+from repro.bsp.frontier import COMPLEMENT, select_arcs
+from repro.graph.csr import CSRGraph, arc_indices
 from repro.telemetry.core import peak_rss_bytes
 from repro.telemetry.flightrec import (
     EV_ENTER,

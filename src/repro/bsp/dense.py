@@ -66,11 +66,10 @@ from repro.bsp.frontier import (
     SPARSE,
     ArcSelection,
     FrontierPolicy,
-    arc_indices,
     select_arcs,
 )
 from repro.bsp.instrumentation import record_superstep
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, arc_indices
 from repro.runtime.loops import Tracer
 from repro.telemetry.core import NULL_TELEMETRY, Telemetry
 from repro.xmt.calibration import DEFAULT_COSTS, KernelCosts

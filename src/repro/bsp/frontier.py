@@ -7,7 +7,8 @@ has to touch (GBBS sizes frontier work to the frontier, "Theoretically
 Efficient Parallel Graph Algorithms Can Be Fast and Scalable"):
 
 * **sparse** — an int64 array of the selected arc *indices*, built by
-  concatenating each sender's CSR slice (:func:`arc_indices`).  Cost is
+  concatenating each sender's CSR slice
+  (:func:`~repro.graph.csr.arc_indices`).  Cost is
   proportional to the frontier-incident arcs only.
 * **mask** (mode ``"dense"``) — a boolean mask over the whole arc array
   (:func:`~repro.bsp._scatter.arcs_from`): a fixed ``O(n + m)`` build,
@@ -49,7 +50,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.bsp._scatter import arcs_from
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, arc_indices
 
 #: An arc selection: boolean mask over all arcs (dense), sorted int64
 #: arc indices (sparse), or the slice covering every arc (complement and
@@ -65,7 +66,6 @@ __all__ = [
     "DENSE",
     "SPARSE",
     "FrontierPolicy",
-    "arc_indices",
     "select_arcs",
     "selected_arc_count",
     "source_values",
@@ -134,24 +134,6 @@ class FrontierPolicy:
 
 #: The engines' default switching rule.
 DEFAULT_FRONTIER_POLICY = FrontierPolicy()
-
-
-def arc_indices(
-    senders: NDArray[np.int64], row_ptr: NDArray[np.int64]
-) -> NDArray[np.int64]:
-    """Ascending arc indices of every out-arc of ``senders``.
-
-    ``senders`` must be sorted ascending and duplicate-free; the result
-    then selects the same arcs, in the same order, as the boolean mask
-    from :func:`~repro.bsp._scatter.arcs_from` — the property the
-    bit-identity of sparse and dense supersteps rests on.
-    """
-    starts = row_ptr[senders]
-    counts = row_ptr[senders + 1] - starts
-    total = int(counts.sum())
-    # One repeat: each arc's row start less its offset in the output.
-    shift = starts - (np.cumsum(counts) - counts)
-    return np.repeat(shift, counts) + np.arange(total, dtype=np.int64)
 
 
 def select_arcs(

@@ -91,9 +91,9 @@ from repro.bsp._pool import WorkerPool, release_block, shared_array
 from repro.bsp._scatter import complement_histogram, receivers_of
 from repro.bsp._wire import OkReply, ShardedWorkerError, WorkerStallError
 from repro.bsp.dense import DenseBSPEngine, DenseVertexProgram
-from repro.bsp.frontier import FrontierPolicy, arc_indices
+from repro.bsp.frontier import FrontierPolicy
 from repro.cluster.partition import balanced_edge_partition, hash_partition
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, arc_indices
 from repro.telemetry.core import Telemetry, worker_track
 from repro.telemetry.flightrec import FlightRecorder
 from repro.xmt.calibration import DEFAULT_COSTS, KernelCosts

@@ -29,7 +29,7 @@ from repro.bsp import engine_for
 from repro.bsp.dense import DenseSuperstepContext, DenseVertexProgram
 from repro.bsp.frontier import source_values
 from repro.bsp.vertex import VertexContext, VertexProgram
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, check_vertex
 from repro.xmt.trace import WorkTrace
 
 __all__ = [
@@ -172,9 +172,7 @@ def bsp_breadth_first_search(
     this graph (sharded, traced, ... as built), left open; the default
     is a :class:`~repro.bsp.DenseBSPEngine` for the call.
     """
-    n = graph.num_vertices
-    if not 0 <= source < n:
-        raise IndexError(f"source {source} out of range [0, {n})")
+    source = check_vertex(graph, source)
     program = DenseBreadthFirstSearch(source)
     result = engine_for(graph, engine).run(
         program, max_supersteps=max_supersteps, trace_label="bsp/bfs"

@@ -22,7 +22,7 @@ from repro.bsp import engine_for
 from repro.bsp.dense import DenseSuperstepContext, DenseVertexProgram
 from repro.bsp.frontier import source_values
 from repro.bsp.vertex import VertexContext, VertexProgram
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, check_vertex
 from repro.xmt.trace import WorkTrace
 
 __all__ = [
@@ -124,9 +124,7 @@ def bsp_sssp(
     is a :class:`~repro.bsp.DenseBSPEngine` for the call.  Distances are
     the same on any engine: min-combine folds are exact at any partition.
     """
-    n = graph.num_vertices
-    if not 0 <= source < n:
-        raise IndexError(f"source {source} out of range [0, {n})")
+    source = check_vertex(graph, source)
     if graph.weights is not None and graph.weights.size and graph.weights.min() < 0:
         raise ValueError("bsp_sssp requires non-negative weights")
     result = engine_for(graph, engine).run(

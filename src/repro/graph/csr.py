@@ -10,12 +10,14 @@ state lives in separate arrays owned by the kernel.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
+from numpy.typing import NDArray
 
-__all__ = ["CSRGraph"]
+__all__ = ["CSRGraph", "arc_indices", "check_vertex"]
 
 # Vertex ids and offsets.  int64 everywhere: the paper's graphs have 2^24
 # vertices and 2^28 edges, and offset arithmetic on subsampled wedge batches
@@ -133,22 +135,19 @@ class CSRGraph:
     # ------------------------------------------------------------------
     def neighbors(self, v: int) -> np.ndarray:
         """Read-only view of the adjacency list of vertex ``v``."""
-        if not 0 <= v < self.num_vertices:
-            raise IndexError(f"vertex {v} out of range [0, {self.num_vertices})")
+        v = check_vertex(self, v)
         return self.col_idx[self.row_ptr[v] : self.row_ptr[v + 1]]
 
     def edge_weights(self, v: int) -> np.ndarray:
         """Weights parallel to :meth:`neighbors` for vertex ``v``."""
         if self.weights is None:
             raise ValueError("graph is unweighted")
-        if not 0 <= v < self.num_vertices:
-            raise IndexError(f"vertex {v} out of range [0, {self.num_vertices})")
+        v = check_vertex(self, v)
         return self.weights[self.row_ptr[v] : self.row_ptr[v + 1]]
 
     def degree(self, v: int) -> int:
         """Out-degree of vertex ``v`` (degree, for undirected graphs)."""
-        if not 0 <= v < self.num_vertices:
-            raise IndexError(f"vertex {v} out of range [0, {self.num_vertices})")
+        v = check_vertex(self, v)
         return int(self.row_ptr[v + 1] - self.row_ptr[v])
 
     def degrees(self) -> np.ndarray:
@@ -272,3 +271,37 @@ class CSRGraph:
             directed=True,
             sorted_adjacency=True,
         )
+
+
+def check_vertex(graph: CSRGraph, v: int) -> int:
+    """``v`` as a vertex id of ``graph``.
+
+    Python and NumPy integers pass (as ``int``); a bool, float or string
+    is a ``TypeError`` and an id outside ``[0, num_vertices)`` an
+    ``IndexError``.
+    """
+    if isinstance(v, (bool, np.bool_)):
+        raise TypeError(f"vertex id must be an integer, not {v!r}")
+    v = operator.index(v)
+    if not 0 <= v < graph.num_vertices:
+        raise IndexError(f"vertex {v} out of range [0, {graph.num_vertices})")
+    return v
+
+
+def arc_indices(
+    senders: NDArray[np.int64], row_ptr: NDArray[np.int64]
+) -> NDArray[np.int64]:
+    """Indices of every out-arc of ``senders``, row by row.
+
+    Each sender's CSR row in turn, for any order of ``senders`` and with
+    duplicates.  Sorted ascending and duplicate-free, they give ascending
+    indices that select the same arcs, in the same order, as the boolean
+    mask from :func:`~repro.bsp._scatter.arcs_from` — the property the
+    bit-identity of sparse and dense supersteps rests on.
+    """
+    starts = row_ptr[senders]
+    counts = row_ptr[senders + 1] - starts
+    total = int(counts.sum())
+    # One repeat: each arc's row start less its offset in the output.
+    shift = starts - (np.cumsum(counts) - counts)
+    return np.repeat(shift, counts) + np.arange(total, dtype=np.int64)

@@ -1,9 +1,12 @@
-"""Graph property utilities (degree statistics, reachability, symmetry).
+"""Graph property utilities (degree statistics, symmetry, reachability,
+components).
 
 These are the small "workflow" helpers GraphCT exposes around its kernels.
 They are also used internally by the experiment harness, e.g. to pick a BFS
 source inside the giant component and to report the degree skew that drives
-the paper's analysis.
+the paper's analysis.  Reachability and components have no kernel of their
+own: they run the dense BSP engine's BFS and CC programs (the paper's
+Algorithms 2 and 1), so the repository has one BFS and one CC to trust.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, check_vertex
 
 __all__ = [
     "DegreeStatistics",
@@ -65,65 +68,31 @@ def is_symmetric(graph: CSRGraph) -> bool:
 
 
 def reachable_from(graph: CSRGraph, source: int) -> np.ndarray:
-    """Boolean mask of vertices reachable from ``source`` (frontier sweep)."""
-    n = graph.num_vertices
-    if not 0 <= source < n:
-        raise IndexError(f"source {source} out of range")
-    visited = np.zeros(n, dtype=bool)
-    visited[source] = True
-    frontier = np.asarray([source], dtype=np.int64)
-    while frontier.size:
-        starts = graph.row_ptr[frontier]
-        stops = graph.row_ptr[frontier + 1]
-        counts = stops - starts
-        if counts.sum() == 0:
-            break
-        # Gather all neighbours of the frontier in one shot.
-        offsets = np.repeat(starts, counts) + _ragged_arange(counts)
-        nbrs = graph.col_idx[offsets]
-        new = nbrs[~visited[nbrs]]
-        if new.size == 0:
-            break
-        new = np.unique(new)
-        visited[new] = True
-        frontier = new
-    return visited
-
-
-def _ragged_arange(counts: np.ndarray) -> np.ndarray:
-    """Concatenate ``arange(c)`` for each count ``c`` without Python loops.
-
-    For counts ``[2, 0, 3]`` returns ``[0, 1, 0, 1, 2]``.
-    """
-    # Position in the output less the start of the run it falls in.
-    run_starts = np.cumsum(counts) - counts
-    total = int(counts.sum())
-    return np.arange(total, dtype=np.int64) - np.repeat(run_starts, counts)
+    """Boolean mask of the vertices reachable from ``source`` along
+    out-arcs: the dense engine's BFS from it."""
+    return _hop_distances(_dense_engine(graph), source) >= 0
 
 
 def connected_component_sizes(graph: CSRGraph) -> np.ndarray:
-    """Sizes of connected components, descending.
+    """Sizes of the connected components of an undirected graph, descending.
 
-    Implemented with repeated pointer-jumping label propagation (independent
-    of the instrumented kernels in :mod:`repro.graphct`, so it can serve as
-    a lightweight oracle for utilities like subgraph extraction).
+    The dense engine's CC labels each vertex with its component's
+    smallest id, so the sizes are the non-zero counts of the labels.
     """
-    labels = _label_components(graph)
-    _, counts = np.unique(labels, return_counts=True)
-    return np.sort(counts)[::-1]
+    counts = np.bincount(_component_labels(_dense_engine(graph)))
+    return np.sort(counts[counts > 0])[::-1]
 
 
 def giant_component_vertex(graph: CSRGraph) -> int:
-    """A vertex inside the largest connected component.
+    """The smallest vertex of the largest connected component.
 
     The experiment harness uses this to pick BFS sources that reach the
     bulk of the graph (the paper traverses "the entire graph" from one
     source, which requires the source to be in the giant component).
+    A label is its component's smallest vertex, and ties go to the
+    smaller label.
     """
-    labels = _label_components(graph)
-    values, counts = np.unique(labels, return_counts=True)
-    giant = values[np.argmax(counts)]
-    return int(np.flatnonzero(labels == giant)[0])
+    return int(np.argmax(np.bincount(_component_labels(_dense_engine(graph)))))
 
 
 def peripheral_vertex(graph: CSRGraph, hops: int = 2) -> int:
@@ -133,62 +102,52 @@ def peripheral_vertex(graph: CSRGraph, hops: int = 2) -> int:
     component, returning a vertex on the last discovered frontier.  BFS
     from such a vertex exhibits the full frontier ramp-up/apex/contraction
     profile of the paper's Figures 2 and 3 (a hub source collapses the
-    level structure to 3-4 levels).
+    level structure to 3-4 levels).  One dense engine runs the CC and
+    every BFS.
     """
-    start = giant_component_vertex(graph)
-    current = start
+    engine = _dense_engine(graph)
+    current = int(np.argmax(np.bincount(_component_labels(engine))))
     for _ in range(max(hops, 1)):
-        dist = _bfs_distances(graph, current)
-        reachable = dist >= 0
-        far = int(dist[reachable].max())
-        candidates = np.flatnonzero(reachable & (dist == far))
+        dist = _hop_distances(engine, current)
+        candidates = np.flatnonzero(dist == dist.max())
         # Prefer a low-degree peripheral vertex (deterministic pick).
-        degrees = graph.degrees()[candidates]
-        nxt = int(candidates[np.argmin(degrees)])
+        nxt = int(candidates[np.argmin(graph.degrees()[candidates])])
         if nxt == current:
             break
         current = nxt
     return current
 
 
-def _bfs_distances(graph: CSRGraph, source: int) -> np.ndarray:
-    dist = np.full(graph.num_vertices, -1, dtype=np.int64)
-    dist[source] = 0
-    frontier = np.asarray([source], dtype=np.int64)
-    level = 0
-    while frontier.size:
-        starts = graph.row_ptr[frontier]
-        counts = graph.row_ptr[frontier + 1] - starts
-        if counts.sum() == 0:
-            break
-        offsets = np.repeat(starts, counts) + _ragged_arange(counts)
-        nbrs = graph.col_idx[offsets]
-        new = np.unique(nbrs[dist[nbrs] < 0])
-        if not new.size:
-            break
-        level += 1
-        dist[new] = level
-        frontier = new
-    return dist
+# The engine and its programs are imported on first use: repro.bsp
+# imports repro.graph, so a module-level import here would be a cycle.
+def _dense_engine(graph: CSRGraph):
+    from repro.bsp.dense import DenseBSPEngine
+
+    return DenseBSPEngine(graph)
 
 
-def _label_components(graph: CSRGraph) -> np.ndarray:
-    n = graph.num_vertices
-    labels = np.arange(n, dtype=np.int64)
-    src = graph.arc_sources()
-    dst = graph.col_idx
-    while True:
-        # Hook: each arc pulls its endpoints to the smaller label.
-        smaller = np.minimum(labels[src], labels[dst])
-        new_labels = labels.copy()
-        np.minimum.at(new_labels, src, smaller)
-        np.minimum.at(new_labels, dst, smaller)
-        # Compress: pointer jumping until labels are fixpoints.
-        while True:
-            jumped = new_labels[new_labels]
-            if np.array_equal(jumped, new_labels):
-                break
-            new_labels = jumped
-        if np.array_equal(new_labels, labels):
-            return labels
-        labels = new_labels
+def _hop_distances(engine, source: int) -> np.ndarray:
+    """Hops from ``source`` (-1 where none) by the BFS program."""
+    from repro.bsp_algorithms.bfs import UNREACHED, DenseBreadthFirstSearch
+
+    program = DenseBreadthFirstSearch(check_vertex(engine.graph, source))
+    # A BFS level per superstep, at most n of them, then one quiet one.
+    dist = engine.run(
+        program, max_supersteps=engine.graph.num_vertices + 1, trace_label="graph/bfs"
+    ).values
+    return np.where(dist == UNREACHED, -1, dist)
+
+
+def _component_labels(engine) -> np.ndarray:
+    """Each vertex's component's smallest id, by the CC program."""
+    from repro.bsp_algorithms.connected_components import DenseConnectedComponents
+
+    graph = engine.graph
+    if graph.directed:
+        raise ValueError("connected components require an undirected graph")
+    # A label moves one hop per superstep: at most n of them, then one quiet one.
+    return engine.run(
+        DenseConnectedComponents(),
+        max_supersteps=graph.num_vertices + 1,
+        trace_label="graph/cc",
+    ).values

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.graph.builder import from_edge_array
 from repro.graph.csr import VERTEX_DTYPE, CSRGraph
-from repro.graph.properties import _label_components
+from repro.graph.properties import _component_labels, _dense_engine
 
 __all__ = ["extract_subgraph", "largest_component_subgraph"]
 
@@ -61,7 +61,6 @@ def extract_subgraph(
 
 def largest_component_subgraph(graph: CSRGraph) -> tuple[CSRGraph, np.ndarray]:
     """Induced subgraph of the largest connected component."""
-    labels = _label_components(graph)
-    values, counts = np.unique(labels, return_counts=True)
-    giant = values[np.argmax(counts)]
+    labels = _component_labels(_dense_engine(graph))
+    giant = np.argmax(np.bincount(labels))
     return extract_subgraph(graph, np.flatnonzero(labels == giant))

@@ -23,9 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, arc_indices
 from repro.graph.dag import ascending_orientation, degree_orientation
-from repro.graph.properties import _ragged_arange
 
 __all__ = ["WEDGE_BATCH", "WedgeClosure", "closed_wedges"]
 
@@ -94,9 +93,7 @@ def _scan(dag: CSRGraph) -> WedgeClosure:
         counts = wedges_per_arc[sel]
         if counts.sum():
             u = np.repeat(dag_src[sel], counts)
-            w = dag_dst[
-                np.repeat(row_ptr[dag_dst[sel]], counts) + _ragged_arange(counts)
-            ]
+            w = dag_dst[arc_indices(dag_dst[sel], row_ptr)]
             keys = u * n + w
             # counts.sum() > 0 implies the DAG has arcs, so arc_keys is
             # non-empty here and clamping the insertion point is safe.

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
-from repro.graph.properties import _ragged_arange
+from repro.graph.csr import CSRGraph, arc_indices, check_vertex
 from repro.runtime.loops import Tracer
 from repro.xmt.calibration import DEFAULT_COSTS, KernelCosts
 from repro.xmt.trace import WorkTrace
@@ -63,9 +62,8 @@ def breadth_first_search(
 
     Works on directed and undirected graphs (follows out-arcs).
     """
+    source = check_vertex(graph, source)
     n = graph.num_vertices
-    if not 0 <= source < n:
-        raise IndexError(f"source {source} out of range [0, {n})")
 
     tracer = Tracer(label="graphct/bfs")
     distances = np.full(n, -1, dtype=np.int64)
@@ -80,14 +78,13 @@ def breadth_first_search(
         with tracer.region(
             "bfs/level", items=int(frontier.size), iteration=level
         ) as r:
-            starts = graph.row_ptr[frontier]
-            counts = graph.row_ptr[frontier + 1] - starts
+            counts = graph.degrees()[frontier]
             arcs = int(counts.sum())
             frontier_sizes.append(int(frontier.size))
             edges_examined.append(arcs)
 
             if arcs:
-                offsets = np.repeat(starts, counts) + _ragged_arange(counts)
+                offsets = arc_indices(frontier, graph.row_ptr)
                 nbrs = graph.col_idx[offsets]
                 parent_of = np.repeat(frontier, counts)
                 fresh = distances[nbrs] < 0

@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
-from repro.graph.properties import _ragged_arange
+from repro.graph.csr import CSRGraph, arc_indices
 from repro.runtime.loops import Tracer
 from repro.xmt.calibration import DEFAULT_COSTS, KernelCosts
 from repro.xmt.trace import WorkTrace
@@ -64,11 +63,10 @@ def k_core_decomposition(
             ) as r:
                 core[peeled] = k - 1
                 alive[peeled] = False
-                starts = graph.row_ptr[peeled]
-                counts = graph.row_ptr[peeled + 1] - starts
+                counts = graph.degrees()[peeled]
                 arcs = int(counts.sum())
                 if arcs:
-                    offsets = np.repeat(starts, counts) + _ragged_arange(counts)
+                    offsets = arc_indices(peeled, graph.row_ptr)
                     nbrs = graph.col_idx[offsets]
                     live_nbrs = nbrs[alive[nbrs]]
                     remaining_degree -= np.bincount(

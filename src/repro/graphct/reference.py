@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, check_vertex
 from repro.runtime.counters import OpCounter
 from repro.xmt.memory import AtomicCounter, FullEmptyArray
 
@@ -36,9 +36,8 @@ def reference_bfs(
 
     Returns ``(distances, op_counter)``.
     """
+    source = check_vertex(graph, source)
     n = graph.num_vertices
-    if not 0 <= source < n:
-        raise IndexError(f"source {source} out of range [0, {n})")
     ops = OpCounter()
     # Colour words: -1 = unvisited; distance otherwise.  All start full.
     colour = FullEmptyArray(n, fill=-1, counter=ops)

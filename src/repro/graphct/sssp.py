@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
-from repro.graph.properties import _ragged_arange
+from repro.graph.csr import CSRGraph, arc_indices, check_vertex
 from repro.runtime.loops import Tracer
 from repro.xmt.calibration import DEFAULT_COSTS, KernelCosts
 from repro.xmt.trace import WorkTrace
@@ -47,9 +46,8 @@ def sssp(
     Negative weights are rejected (Bellman–Ford rounds would still
     converge, but negative cycles are undetectable in this formulation).
     """
+    source = check_vertex(graph, source)
     n = graph.num_vertices
-    if not 0 <= source < n:
-        raise IndexError(f"source {source} out of range [0, {n})")
     if graph.weights is not None and graph.weights.size and graph.weights.min() < 0:
         raise ValueError("sssp requires non-negative weights")
 
@@ -65,11 +63,10 @@ def sssp(
         with tracer.region(
             "sssp/round", items=int(frontier.size), iteration=round_index
         ) as r:
-            starts = graph.row_ptr[frontier]
-            counts = graph.row_ptr[frontier + 1] - starts
+            counts = graph.degrees()[frontier]
             arcs = int(counts.sum())
             if arcs:
-                offsets = np.repeat(starts, counts) + _ragged_arange(counts)
+                offsets = arc_indices(frontier, graph.row_ptr)
                 nbrs = graph.col_idx[offsets]
                 w = (
                     graph.weights[offsets]

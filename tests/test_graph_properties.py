@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bsp_algorithms import bsp_breadth_first_search, bsp_sssp
 from repro.graph import (
     connected_component_sizes,
     degree_statistics,
@@ -12,9 +13,12 @@ from repro.graph import (
     largest_component_subgraph,
     reachable_from,
     ring_graph,
+    rmat,
     star_graph,
 )
-from repro.graph.properties import _ragged_arange, giant_component_vertex
+from repro.graph.properties import giant_component_vertex, peripheral_vertex
+from repro.graphct import breadth_first_search, sssp
+from repro.graphct.reference import reference_bfs
 
 
 class TestDegreeStatistics:
@@ -79,24 +83,53 @@ class TestComponents:
         v = giant_component_vertex(g)
         assert v in (2, 3, 4, 5)
 
+    @pytest.mark.parametrize(
+        "utility",
+        [connected_component_sizes, giant_component_vertex,
+         largest_component_subgraph, peripheral_vertex],
+    )
+    def test_components_of_a_directed_graph_raise(self, utility):
+        # Components are defined on undirected graphs only, as in every
+        # CC of the library; weak components are not computed silently.
+        g = from_edge_list([(0, 1), (1, 2)], directed=True)
+        with pytest.raises(ValueError, match="undirected"):
+            utility(g)
 
-class TestRaggedArange:
-    def test_basic(self):
-        out = _ragged_arange(np.array([2, 0, 3]))
-        assert out.tolist() == [0, 1, 0, 1, 2]
 
-    def test_empty(self):
-        assert _ragged_arange(np.array([], dtype=int)).size == 0
+@pytest.mark.parametrize(
+    "scale, vertex", [(6, 55), (8, 183), (10, 190), (12, 731)]
+)
+def test_peripheral_vertex_pin(scale, vertex):
+    # The BFS source of every experiment; `repro verify --scale 14` pins
+    # the scale-14 pick (7050).
+    assert peripheral_vertex(rmat(scale, 16, seed=1)) == vertex
 
-    def test_all_zero(self):
-        assert _ragged_arange(np.array([0, 0])).size == 0
 
-    def test_leading_zero(self):
-        out = _ragged_arange(np.array([0, 2, 1]))
-        assert out.tolist() == [0, 1, 0]
+#: Every public entry point that takes a source vertex.
+SOURCE_ENTRY_POINTS = {
+    "bsp_breadth_first_search": lambda g, s: bsp_breadth_first_search(g, s).distances,
+    "bsp_sssp": lambda g, s: bsp_sssp(g, s).distances,
+    "breadth_first_search": lambda g, s: breadth_first_search(g, s).distances,
+    "sssp": lambda g, s: sssp(g, s).distances,
+    "reference_bfs": lambda g, s: reference_bfs(g, s)[0],
+    "reachable_from": reachable_from,
+}
 
-    def test_single_run(self):
-        assert _ragged_arange(np.array([4])).tolist() == [0, 1, 2, 3]
+
+class TestVertexIds:
+    @pytest.mark.parametrize("bad", [True, 2.7, 2.0, "3"], ids=repr)
+    @pytest.mark.parametrize("entry", SOURCE_ENTRY_POINTS)
+    def test_check_vertex_rejects_non_integer_sources(self, entry, bad):
+        with pytest.raises(TypeError):
+            SOURCE_ENTRY_POINTS[entry](ring_graph(6), bad)
+
+    @pytest.mark.parametrize("entry", SOURCE_ENTRY_POINTS)
+    def test_check_vertex_takes_numpy_integers(self, entry):
+        g = ring_graph(6)
+        run = SOURCE_ENTRY_POINTS[entry]
+        assert np.array_equal(run(g, np.int32(2)), run(g, 2))
+        with pytest.raises(IndexError):
+            run(g, np.int64(6))
 
 
 class TestSubgraph:

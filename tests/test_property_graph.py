@@ -3,6 +3,8 @@
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from repro.graph import (
     from_edge_array,
@@ -14,12 +16,11 @@ from repro.graph import (
 )
 from repro.graph.dag import ascending_orientation, degree_orientation
 from repro.graph.properties import (
-    _label_components,
-    _ragged_arange,
+    connected_component_sizes,
     is_symmetric,
     reachable_from,
 )
-from repro.graph.subgraph import extract_subgraph
+from repro.graph.subgraph import extract_subgraph, largest_component_subgraph
 
 
 @st.composite
@@ -127,35 +128,42 @@ class TestOrientationProperties:
         assert np.all(key_src < key_dst)
 
 
+def scipy_labels(g):
+    """Component labels from scipy, an oracle independent of the engine."""
+    n = g.num_vertices
+    adjacency = csr_matrix((np.ones(g.num_arcs), g.col_idx, g.row_ptr), shape=(n, n))
+    return connected_components(adjacency, directed=False)[1]
+
+
 class TestComponentsProperties:
     @given(edge_lists())
     @settings(max_examples=50)
     def test_labels_constant_on_reachable_sets(self, data):
         edges, n = data
         g = from_edge_list(edges, n)
-        labels = _label_components(g)
+        labels = scipy_labels(g)
         for v in range(min(n, 5)):
-            mask = reachable_from(g, v)
-            assert len(set(labels[mask].tolist())) == 1
+            assert np.array_equal(reachable_from(g, v), labels == labels[v])
 
     @given(edge_lists())
-    def test_labels_are_component_minima(self, data):
+    def test_component_sizes_match_scipy(self, data):
         edges, n = data
         g = from_edge_list(edges, n)
-        labels = _label_components(g)
-        for label in np.unique(labels):
-            members = np.flatnonzero(labels == label)
-            assert members.min() == label
+        expected = np.sort(np.bincount(scipy_labels(g)))[::-1]
+        assert np.array_equal(connected_component_sizes(g), expected)
 
-
-class TestRaggedArange:
-    @given(st.lists(st.integers(min_value=0, max_value=12), max_size=20))
-    def test_matches_naive_concatenation(self, counts):
-        counts = np.asarray(counts, dtype=np.int64)
-        expected = np.concatenate(
-            [np.arange(c) for c in counts] or [np.empty(0, dtype=np.int64)]
-        )
-        assert np.array_equal(_ragged_arange(counts), expected)
+    @given(edge_lists())
+    @settings(max_examples=50)
+    def test_largest_component_subgraph_matches_scipy(self, data):
+        edges, n = data
+        g = from_edge_list(edges, n)
+        labels = scipy_labels(g)
+        sizes = np.bincount(labels)
+        # Of the largest components, the one holding the smallest vertex.
+        giant = labels[np.flatnonzero(sizes[labels] == sizes.max())[0]]
+        sub, ids = largest_component_subgraph(g)
+        assert np.array_equal(ids, np.flatnonzero(labels == giant))
+        assert sub.num_arcs == np.count_nonzero(labels[g.arc_sources()] == giant)
 
 
 class TestSubgraphProperties:
