@@ -6,6 +6,7 @@ processes and their pipes, the exchange — a task frame out to each
 participant, a reply frame back (:mod:`repro.bsp._wire`) — and its
 supervision: the receive deadline, stall/crash detection, postmortem
 bundles, live worker status, straggler skew, a shutdown that cannot hang.
+None of it can be turned off.
 
 **The failure rule.**  The protocol is in step only while every task
 sent has had its reply read.  An exchange that ends otherwise — a
@@ -20,6 +21,7 @@ step and the pool stays usable.
 
 from __future__ import annotations
 
+import select
 import time
 from collections import deque
 from multiprocessing import get_all_start_methods, get_context, shared_memory
@@ -50,6 +52,9 @@ from repro.telemetry.flightrec import (
 
 __all__ = ["WorkerPool", "release_block", "shared_array"]
 
+#: Milliseconds a receive waits between checks of a silent worker.
+_POLL_MS = 50
+
 
 def shared_array(
     shape: tuple[int, ...], dtype: Any
@@ -62,15 +67,13 @@ def shared_array(
     return shm, np.ndarray(shape, dtype=dtype, buffer=shm.buf)
 
 
-def release_block(shm: shared_memory.SharedMemory | None) -> None:
+def release_block(shm: shared_memory.SharedMemory) -> None:
     """Unlink a block, tolerating still-exported NumPy views.
 
     ``close`` raises :class:`BufferError` while any array over the
     buffer is alive (e.g. a caller kept ``engine.values``); the unlink
     still proceeds, and the OS frees the segment with its last mapping.
     """
-    if shm is None:
-        return
     try:
         shm.close()
     except BufferError:
@@ -87,13 +90,15 @@ class WorkerPool:
     Every worker is started — by ``fork`` where the platform has it (the
     cheapest spawn), else ``spawn`` — with ``spec`` plus, for each of
     ``arrays``, the name of a shared block holding a copy (None stays
-    None); the parent's views of those blocks are :attr:`arrays`.
+    None); the parent's views of those blocks are :attr:`arrays`, and
+    ``arrays`` itself is emptied once copied.
     ``recorder`` is an unbound :class:`FlightRecorder` the pool opens,
-    feeds and closes (or None); ``stall_timeout`` the seconds of worker
-    silence tolerated per reply (None: forever), which also bound each
-    escalation step of :meth:`close`; ``describe`` is the owner's
-    ``engine=`` / ``partition=`` sections of a postmortem bundle — data,
-    not a callback: the pool must not keep its owner alive.
+    feeds and closes; ``stall_timeout`` the seconds of worker silence
+    tolerated per reply; ``describe`` is the owner's ``engine=`` /
+    ``partition=`` sections of a postmortem bundle — data, not a
+    callback: the pool must not keep its owner alive.  A worker that
+    cannot attach its blocks or its ring fails the constructor with
+    :class:`ShardedWorkerError`.
     """
 
     def __init__(
@@ -102,8 +107,8 @@ class WorkerPool:
         spec: dict,
         arrays: dict[str, np.ndarray | None],
         *,
-        recorder: FlightRecorder | None = None,
-        stall_timeout: float | None = None,
+        recorder: FlightRecorder,
+        stall_timeout: float,
         describe: dict[str, dict] | None = None,
     ) -> None:
         self.num_workers = num_workers
@@ -128,9 +133,15 @@ class WorkerPool:
         self._closed = False
         self._blocks: list[shared_memory.SharedMemory] = []
         self._conns: list = []
+        # One poll object per worker connection: the receive deadline's
+        # wait costs ~0.1 us per frame, where Connection.poll costs ~5 us.
+        self._pollers: list = []
         self._procs: list = []
         self._watchdog: StallWatchdog | None = None
         self.arrays: dict[str, np.ndarray] = {}
+        # Outside the cleanup below: a recorder that is already open is
+        # another engine's, and closing it would end that engine's rings.
+        recorder.open(num_workers)
         try:
             self._start(spec, arrays)
         except Exception:
@@ -140,10 +151,7 @@ class WorkerPool:
     def _start(self, spec: dict, arrays: dict) -> None:
         recorder = self.recorder
         #: What every worker is started with (plus its ``worker_index``).
-        self.spec = spec = dict(spec, flightrec=None)
-        if recorder is not None:
-            recorder.open(self.num_workers)
-            spec["flightrec"] = recorder.worker_spec()
+        self.spec = spec = dict(spec, flightrec=recorder.worker_spec())
         for key, array in arrays.items():
             spec[key] = None
             if array is not None:
@@ -151,28 +159,50 @@ class WorkerPool:
                 self._blocks.append(shm)
                 view[...] = array
                 self.arrays[key], spec[key] = view, shm.name
-        ctx = get_context(
-            "fork" if "fork" in get_all_start_methods() else "spawn"
-        )
+        # Drop the caller's graph-sized temporaries (7 MB at RMAT scale 15)
+        # before the workers are forked and awaited: neither side needs
+        # them once copied.
+        arrays.clear()
+        method = "fork" if "fork" in get_all_start_methods() else "spawn"
+        ctx = get_context(method)
+        started_ns = time.monotonic_ns()
         for w in range(self.num_workers):
             parent_conn, child_conn = ctx.Pipe()
+            # A forked worker holds copies of its own and every earlier
+            # worker's parent end; it closes them, so that when the
+            # parent dies (even by SIGKILL) its pipe reads EOF and it
+            # exits.  A spawned worker inherits none.
+            inherited = (*self._conns, parent_conn) if method == "fork" else ()
             proc = ctx.Process(
                 target=worker_main,
-                args=(child_conn, dict(spec, worker_index=w)),
+                args=(child_conn, dict(spec, worker_index=w), inherited),
                 name=f"bsp-shard-{w}",
                 daemon=True,
             )
             proc.start()
             child_conn.close()
+            poller = select.poll()
+            poller.register(parent_conn, select.POLLIN)
             self._conns.append(parent_conn)
+            self._pollers.append(poller)
             self._procs.append(proc)
-        if recorder is not None:
-            self._watchdog = StallWatchdog(
-                recorder,
-                stall_timeout=self.stall_timeout,
-                on_stall=self._on_watchdog_stall,
-            )
-            self._watchdog.start()
+        self._watchdog = StallWatchdog(
+            recorder,
+            stall_timeout=self.stall_timeout,
+            on_stall=self._on_watchdog_stall,
+        )
+        self._watchdog.start()
+        # Each worker announces it has attached its blocks and its ring.
+        for w in range(self.num_workers):
+            try:
+                reply, _ = self._recv_frame(w, started_ns)
+            except (EOFError, OSError, WireFormatError) as exc:
+                reply = ("error", repr(exc))
+            if reply[0] == "error":
+                raise ShardedWorkerError(
+                    f"shard worker {w} failed to start:\n{reply[1]}",
+                    worker_tracebacks={w: reply[1]},
+                )
 
     # -- the exchange ----------------------------------------------------
     def exchange(
@@ -214,6 +244,7 @@ class WorkerPool:
             "wall_time": time.time(),
         }
         t0 = tel.now()
+        sent_ns = time.monotonic_ns()
         replies: dict[int, OkReply] = {}
         errors: dict[int, str] = {}  # the worker answered: still in step
         gone: dict[int, str] = {}  # no reply will ever be read: desync
@@ -227,7 +258,7 @@ class WorkerPool:
                 if w in gone:
                     continue
                 try:
-                    reply, reply_bytes = self._recv_frame(w)
+                    reply, reply_bytes = self._recv_frame(w, sent_ns)
                 except (EOFError, OSError):
                     gone[w] = "worker process died"
                     continue
@@ -310,35 +341,27 @@ class WorkerPool:
                     )
         return replies
 
-    def _recv_frame(self, w: int) -> tuple[Any, int]:
+    def _recv_frame(self, w: int, sent_ns: int) -> tuple[Any, int]:
         """Receive one frame from worker ``w``, bounded by the stall deadline.
 
-        Without a ``stall_timeout`` this is the plain blocking receive.
-        With one, the wait polls: a dead worker raises :class:`EOFError`
-        (after draining any reply already in the pipe), and a silent one
-        :class:`WorkerStallError`.  Silence is the age of the worker's
-        newest ring event when a recorder is attached — progress ticks
-        keep a worker grinding through a huge shard alive, while one
-        wedged *anywhere* (even stopped before reading the command)
-        trips the deadline — and a wall deadline per reply otherwise.
+        A dead worker raises :class:`EOFError` (after draining any reply
+        already in the pipe), and a silent one :class:`WorkerStallError`.
+        Silence runs from the later of the worker's newest ring event and
+        ``sent_ns``, when the task was sent (``time.monotonic_ns``): progress
+        ticks keep a worker grinding through a huge shard alive, one wedged
+        *anywhere* (even stopped before reading the task) trips the
+        deadline, and a worker that idled longer than the deadline before
+        this task is not already stalled by it.
         """
-        conn = self._conns[w]
-        timeout = self.stall_timeout
-        if timeout is None:
-            return self._wire.recv(conn)
-        recorder = self.recorder
-        deadline = time.monotonic() + timeout
-        while not conn.poll(0.05):
-            if not self._procs[w].is_alive() and not conn.poll(0):
+        poller = self._pollers[w]
+        while not poller.poll(_POLL_MS):
+            if not self._procs[w].is_alive() and not poller.poll(0):
                 raise EOFError(f"shard worker {w} exited")
-            age = None
-            if recorder is not None and recorder.is_open:
-                age = recorder.seconds_since_last_event(w)
-            if age is None and time.monotonic() > deadline:
-                age = timeout
-            if age is not None and age >= timeout:
+            last_ns = self.recorder.status(w).last_event_ns or 0
+            age = (time.monotonic_ns() - max(last_ns, sent_ns)) / 1e9
+            if age >= self.stall_timeout:
                 self._raise_stall(w, age)
-        return self._wire.recv(conn)
+        return self._wire.recv(self._conns[w])
 
     def _raise_stall(self, w: int, age: float) -> NoReturn:
         self.stall_detected = True
@@ -361,12 +384,9 @@ class WorkerPool:
     def _dump_postmortem(
         self, *, reason: str, error: str | None = None
     ) -> Path | None:
-        """Write a postmortem bundle; None when no recorder is attached."""
-        recorder = self.recorder
-        if recorder is None or not recorder.is_open:
-            return None
+        """Write a postmortem bundle; None when it cannot be written."""
         try:
-            return recorder.dump_postmortem(
+            return self.recorder.dump_postmortem(
                 reason=reason,
                 error=error,
                 last_barrier=dict(self.last_barrier),
@@ -387,16 +407,14 @@ class WorkerPool:
 
     def worker_status(self) -> list[dict]:
         """One row per worker: ``pid`` / ``alive`` from the process table
-        and, when the recorder is attached, the decoded ring view (phase,
-        superstep, progress ratio, rss, last-event age) — what
-        ``GET /debug/workers`` and ``repro top`` render."""
-        recorder = self.recorder
-        rows = self._liveness()
-        if recorder is not None and recorder.is_open:
-            now_ns = time.monotonic_ns()
-            for w, row in enumerate(rows):
-                rows[w] = {**recorder.status(w).to_dict(now_ns=now_ns), **row}
-        return rows
+        and the decoded ring view (phase, superstep, progress ratio, rss,
+        last-event age) — what ``GET /debug/workers`` and ``repro top``
+        render."""
+        now_ns = time.monotonic_ns()
+        return [
+            {**self.recorder.status(w).to_dict(now_ns=now_ns), **row}
+            for w, row in enumerate(self._liveness())
+        ]
 
     def _liveness(self) -> list[dict]:
         return [
@@ -420,9 +438,10 @@ class WorkerPool:
         """Stop the workers and release the pool's shared blocks.
 
         Bounded: each escalation step waits at most ``stall_timeout``
-        (or 5 s), so a wedged worker — e.g. one stopped by SIGSTOP, to
-        which SIGTERM is queued but never delivered — cannot hang it.
-        join → terminate → kill: only SIGKILL reaches a stopped process.
+        or 5 s, whichever is shorter, so a wedged worker — e.g. one
+        stopped by SIGSTOP, to which SIGTERM is queued but never
+        delivered — cannot hang it.  join → terminate → kill: only
+        SIGKILL reaches a stopped process.
         """
         if self._closed:
             return
@@ -430,7 +449,7 @@ class WorkerPool:
         if self._watchdog is not None:
             self._watchdog.stop()
             self._watchdog = None
-        drain = self.stall_timeout if self.stall_timeout is not None else 5.0
+        drain = min(self.stall_timeout, 5.0)
         for conn in self._conns:
             try:
                 self._wire.send(conn, ("close",))
@@ -447,5 +466,4 @@ class WorkerPool:
         self.arrays = {}
         for shm in self._blocks:
             release_block(shm)
-        if self.recorder is not None:
-            self.recorder.close()
+        self.recorder.close()

@@ -84,7 +84,7 @@ class ShardedWorkerError(RuntimeError):
         traceback, verbatim as formatted inside the worker process.
     postmortem_path:
         Path of the flight-recorder postmortem bundle dumped for this
-        failure, or None when no recorder was attached.
+        failure, or None when none was written.
     """
 
     def __init__(

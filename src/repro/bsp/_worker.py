@@ -24,10 +24,15 @@ told to close:
 Every task ends in the same epilogue: busy time (recv-to-reply) and the
 worker's peak RSS ride on the ``("ok", ...)`` reply, so the parent's
 telemetry draws per-worker rows, barrier-wait skew and memory without a
-second round trip (~1 us per task).  With a flight recorder attached
-(``spec["flightrec"]``), each task is also bracketed by enter/exit
-events in this worker's shared-memory ring and the gather fold ticks
-progress per arc chunk — what the stall watchdog and ``repro top`` read.
+second round trip (~1 us per task).  Each task is also bracketed by
+enter/exit events in this worker's flight-recorder ring
+(``spec["flightrec"]``) and the gather fold ticks progress per arc chunk
+— what the stall deadline, the watchdog and ``repro top`` read.
+
+A worker announces its start with one ``("ok", ...)`` frame once its
+blocks and ring are attached, or an ``("error", traceback)`` frame if
+they cannot be, and exits.  It also exits when its pipe reads EOF: the
+parent is gone.
 """
 
 from __future__ import annotations
@@ -85,12 +90,13 @@ class _Shard:
     a scatter makes for the gather of the following superstep and a
     deliver for itself."""
 
-    def __init__(self, spec: dict, ring: RingWriter | None) -> None:
+    def __init__(self, spec: dict) -> None:
         self.n = n = spec["num_vertices"]
         self.index = w = spec["worker_index"]
         bounds = spec["arc_bounds"]
         m, shard = bounds[-1], slice(bounds[w], bounds[w + 1])
-        self.ring = ring
+        rec = spec["flightrec"]
+        self.ring = RingWriter(rec["shm"], rec["capacity"], w)
         self._static: list[shared_memory.SharedMemory] = []
         # The engine's run blocks this worker has attached, by name.
         self._run_blocks: dict[str, shared_memory.SharedMemory] = {}
@@ -220,10 +226,9 @@ class _Shard:
             )
         program, dst, ring = self.program, self.dst, self.ring
         step, total = int(generation), int(dst.size)
-        if ring is not None:
-            # Announce the arc total up front: the watchdog can tell a
-            # slow payload hook from a dead one.
-            ring.record(EV_PROGRESS, PH_GATHER, step, 0, total)
+        # Announce the arc total up front: the watchdog can tell a slow
+        # payload hook from a dead one.
+        ring.record(EV_PROGRESS, PH_GATHER, step, 0, total)
         values = self.values
         if self.shadow_out is not None:
             # Check mode: run the payload hook on a private copy of the
@@ -249,8 +254,7 @@ class _Shard:
             program.combine.at(
                 out, dst[done:end], payload[done:end] if sliceable else payload
             )
-            if ring is not None:
-                ring.record(EV_PROGRESS, PH_GATHER, step, end, total)
+            ring.record(EV_PROGRESS, PH_GATHER, step, end, total)
         return total - int(self.left_out.size)
 
     def deliver(self, generation: int, mode: str) -> int:
@@ -259,8 +263,7 @@ class _Shard:
         return self.gather(generation)
 
     def close(self) -> None:
-        if self.ring is not None:
-            self.ring.close()
+        self.ring.close()
         for shm in [*self._run_blocks.values(), *self._static]:
             _detach(shm)
 
@@ -273,18 +276,15 @@ def _detach(shm: shared_memory.SharedMemory) -> None:
         pass
 
 
-def _open_ring(spec: dict) -> RingWriter | None:
-    rec = spec.get("flightrec")
-    if rec is None:
-        return None
-    try:
-        return RingWriter(rec["shm"], rec["capacity"], spec["worker_index"])
-    except Exception:  # pragma: no cover - recording is best-effort
-        return None
+def worker_main(conn: "Connection", spec: dict, inherited: tuple) -> None:
+    """Shard worker entry point: serve tasks until told to close.
 
-
-def worker_main(conn: "Connection", spec: dict) -> None:
-    """Shard worker entry point: serve tasks until told to close."""
+    ``inherited`` are the parent-side pipe ends a forked worker holds
+    copies of; closing them lets this worker's pipe read EOF once the
+    parent is gone.
+    """
+    for end in inherited:
+        end.close()
     if hasattr(os, "sched_setscheduler"):
         # A woken worker must not preempt the parent while it is still
         # writing the other workers' frames: as SCHED_BATCH it waits for
@@ -295,9 +295,14 @@ def worker_main(conn: "Connection", spec: dict) -> None:
         except OSError:  # not permitted: scheduling never changes results
             pass
     wire = PackedWire()
-    ring = _open_ring(spec)
-    shard = _Shard(spec, ring)
     try:
+        shard = _Shard(spec)
+    except Exception:
+        wire.send(conn, ("error", traceback.format_exc()))
+        return
+    ring = shard.ring
+    try:
+        wire.send(conn, ok_reply(0, 0, 0))
         while True:
             msg, _ = wire.recv(conn)
             cmd = msg[0]
@@ -308,8 +313,7 @@ def worker_main(conn: "Connection", spec: dict) -> None:
             step = (
                 int(msg[1]) if cmd in ("scatter", "gather", "deliver") else -1
             )
-            if ring is not None:
-                ring.record(EV_ENTER, phase, step)
+            ring.record(EV_ENTER, phase, step)
             arcs: int | None = None
             reply: tuple | None = None
             try:
@@ -329,13 +333,11 @@ def worker_main(conn: "Connection", spec: dict) -> None:
             busy = time.perf_counter_ns() - t_busy
             if reply is None:
                 rss = peak_rss_bytes() or 0
-                if ring is not None:
-                    ring.record(EV_RSS, phase, step, rss)
+                ring.record(EV_RSS, phase, step, rss)
                 reply = ok_reply(busy, rss, arcs)
-            if ring is not None:
-                # Also on failure: the recorder must never show an
-                # eternally-open phase for a worker that in fact replied.
-                ring.record(EV_EXIT, phase, step, arcs or 0, busy)
+            # Also on failure: the recorder must never show an
+            # eternally-open phase for a worker that in fact replied.
+            ring.record(EV_EXIT, phase, step, arcs or 0, busy)
             wire.send(conn, reply)
     except (EOFError, OSError, KeyboardInterrupt):  # parent went away
         pass

@@ -100,6 +100,7 @@ from repro.xmt.calibration import DEFAULT_COSTS, KernelCosts
 
 __all__ = [
     "PARTITION_POLICIES",
+    "STALL_TIMEOUT",
     "ShardedBSPEngine",
     "ShardedWorkerError",
     "ShardedWriteRaceError",
@@ -108,6 +109,11 @@ __all__ = [
 
 #: Placement policies understood by :class:`ShardedBSPEngine`.
 PARTITION_POLICIES = ("hash", "balanced-edge")
+
+#: Default seconds of worker silence a barrier tolerates before it
+#: raises :class:`WorkerStallError` (``ShardedBSPEngine(stall_timeout=)``
+#: and ``repro serve --stall-timeout``).
+STALL_TIMEOUT = 30.0
 
 
 class ShardedWriteRaceError(RuntimeError):
@@ -215,20 +221,19 @@ class ShardedBSPEngine(DenseBSPEngine):
         per delivering superstep — and of every superstep fanning out,
         however small (the audit is about worker writes).
     flight_recorder:
-        Worker flight recorder (shared-memory event rings; see
-        :mod:`repro.telemetry.flightrec`).  ``True`` (the default)
-        builds a default :class:`~repro.telemetry.flightrec.FlightRecorder`,
-        ``False`` disables, and an unbound instance is adopted (the
-        engine opens and closes it).  With one attached,
-        :meth:`worker_status` decodes the workers' rings and any worker
-        crash, error or stall dumps a postmortem bundle to the
-        recorder's ``postmortem_dir``.
+        An unbound :class:`~repro.telemetry.flightrec.FlightRecorder`
+        the engine opens and closes (default: one with default
+        settings).  The workers record to its shared-memory rings
+        (:mod:`repro.telemetry.flightrec`), :meth:`worker_status`
+        decodes them, and any worker crash, error or stall dumps a
+        postmortem bundle to its ``postmortem_dir``.
     stall_timeout:
         Seconds of worker silence tolerated while awaiting a barrier
-        reply before raising :class:`WorkerStallError` (None — the
-        default — waits forever); measured on the worker's ring when a
-        recorder is attached, so progress ticks keep a slow but live
-        worker alive.  :meth:`close` reuses the bound, so shutdown
+        reply before raising :class:`WorkerStallError` (default:
+        :data:`STALL_TIMEOUT`, read when the engine is built).  Silence
+        is measured on the worker's ring from the task's send, so
+        progress ticks keep a slow but live worker alive.  :meth:`close`
+        bounds each shutdown step by it too (at most 5 s), so shutdown
         cannot hang on a wedged worker.
     combine_messages, frontier_policy, aggregators, costs, telemetry:
         As for :class:`DenseBSPEngine`.  With telemetry enabled the
@@ -251,7 +256,7 @@ class ShardedBSPEngine(DenseBSPEngine):
         num_workers: int | None = None,
         partition: str | np.ndarray = "hash",
         check: bool = False,
-        flight_recorder: FlightRecorder | bool = True,
+        flight_recorder: FlightRecorder | None = None,
         stall_timeout: float | None = None,
         combine_messages: bool = False,
         frontier_policy: FrontierPolicy | None = None,
@@ -275,17 +280,21 @@ class ShardedBSPEngine(DenseBSPEngine):
         self.num_workers = num_workers
         #: Write-race detector state (see the ``check`` parameter).
         self.check = bool(check)
-        if stall_timeout is not None:
-            stall_timeout = float(stall_timeout)
-            if stall_timeout <= 0:
-                raise ValueError("stall_timeout must be positive")
-        #: Stall deadline in seconds (None: never time a worker out).
+        stall_timeout = float(
+            STALL_TIMEOUT if stall_timeout is None else stall_timeout
+        )
+        if not 0 < stall_timeout < float("inf"):
+            raise ValueError("stall_timeout must be positive and finite")
+        #: Stall deadline in seconds.
         self.stall_timeout = stall_timeout
-        if flight_recorder is True:
-            flight_recorder = FlightRecorder()
-        #: The attached :class:`~repro.telemetry.flightrec.FlightRecorder`
-        #: (None when disabled).  The engine owns its open/close.
-        self.flight_recorder: FlightRecorder | None = flight_recorder or None
+        if not isinstance(flight_recorder, (FlightRecorder, type(None))):
+            raise TypeError(
+                "flight_recorder must be a FlightRecorder, not "
+                f"{type(flight_recorder).__name__}"
+            )
+        #: The attached :class:`~repro.telemetry.flightrec.FlightRecorder`.
+        #: The engine owns its open/close.
+        self.flight_recorder = flight_recorder or FlightRecorder()
 
         if isinstance(partition, str):
             if partition == "hash":

@@ -163,7 +163,6 @@ def bsp_breadth_first_search(
     graph: CSRGraph,
     source: int,
     *,
-    max_supersteps: int = 10_000,
     engine=None,
 ) -> BSPBFSResult:
     """Dense-engine execution of Algorithm 2.
@@ -175,7 +174,9 @@ def bsp_breadth_first_search(
     source = check_vertex(graph, source)
     program = DenseBreadthFirstSearch(source)
     result = engine_for(graph, engine).run(
-        program, max_supersteps=max_supersteps, trace_label="bsp/bfs"
+        program,
+        max_supersteps=graph.num_vertices + 1,
+        trace_label="bsp/bfs",
     )
     dist = result.values
     return BSPBFSResult(

@@ -111,7 +111,6 @@ class BSPComponentsResult:
 def bsp_connected_components(
     graph: CSRGraph,
     *,
-    max_supersteps: int = 10_000,
     engine=None,
 ) -> BSPComponentsResult:
     """Dense-engine execution of Algorithm 1.
@@ -130,13 +129,13 @@ def bsp_connected_components(
         )
     result = engine_for(graph, engine).run(
         DenseConnectedComponents(),
-        max_supersteps=max_supersteps,
+        max_supersteps=graph.num_vertices + 1,
         trace_label="bsp/cc",
     )
     labels = result.values
     return BSPComponentsResult(
         labels=labels,
-        # Labels are vertex ids: no hash or sort; exact for a truncated run.
+        # Labels are vertex ids: no hash or sort.
         num_components=int(np.count_nonzero(np.bincount(labels))),
         num_supersteps=result.num_supersteps,
         active_per_superstep=result.active_per_superstep,

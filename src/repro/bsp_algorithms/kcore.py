@@ -123,7 +123,6 @@ def bsp_k_core(
     graph: CSRGraph,
     k: int,
     *,
-    max_supersteps: int = 100_000,
     engine=None,
 ) -> BSPKCoreResult:
     """Dense-engine BSP k-core membership (semantics of :class:`BSPKCore`).
@@ -139,7 +138,9 @@ def bsp_k_core(
         raise ValueError("k must be non-negative")
     program = DenseKCore(k)
     result = engine_for(graph, engine).run(
-        program, max_supersteps=max_supersteps, trace_label="bsp/kcore"
+        program,
+        max_supersteps=graph.num_vertices + 1,
+        trace_label="bsp/kcore",
     )
     return BSPKCoreResult(
         k=k,

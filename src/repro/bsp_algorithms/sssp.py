@@ -114,7 +114,6 @@ def bsp_sssp(
     graph: CSRGraph,
     source: int,
     *,
-    max_supersteps: int = 100_000,
     engine=None,
 ) -> BSPSSSPResult:
     """Dense-engine BSP SSSP (unit weights when the graph is unweighted).
@@ -129,7 +128,7 @@ def bsp_sssp(
         raise ValueError("bsp_sssp requires non-negative weights")
     result = engine_for(graph, engine).run(
         DenseShortestPaths(source),
-        max_supersteps=max_supersteps,
+        max_supersteps=graph.num_vertices + 1,
         trace_label="bsp/sssp",
     )
     return BSPSSSPResult(

@@ -46,6 +46,7 @@ __all__ = [
     "CombinerContract",
     "DiscoveredCombiner",
     "audit_combiner",
+    "audit_instance",
     "audit_paths",
     "discover_combiners",
 ]

@@ -24,7 +24,10 @@ from dataclasses import dataclass
 
 from repro.xmt.trace import WorkTrace
 
-__all__ = ["ClusterMachine", "ClusterSimulation", "simulate_cluster_bsp"]
+__all__ = [
+    "ClusterMachine", "ClusterSimulation", "flat_scaling_range",
+    "simulate_cluster_bsp",
+]
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ __all__ = [
     "reachable_from",
     "connected_component_sizes",
     "giant_component_vertex",
+    "peripheral_vertex",
 ]
 
 

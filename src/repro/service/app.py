@@ -88,12 +88,12 @@ class GraphAnalyticsService:
         records; defaults to the silent
         :data:`~repro.telemetry.logs.NULL_LOGGER` so in-process
         embedding produces no output.
-    flight_recorder, stall_timeout:
+    stall_timeout:
         Passed through to :class:`~repro.bsp.parallel.ShardedBSPEngine`
-        — the flight recorder is on unless ``False``, and ``stall_timeout``
-        bounds how long a barrier waits on a silent worker before the
-        job fails with a stall error (and a postmortem bundle, served
-        via ``GET /debug/postmortem/<id>``).
+        (default :data:`~repro.bsp.parallel.STALL_TIMEOUT`): how long a
+        barrier waits on a silent worker before the job fails with a
+        stall error and a postmortem bundle, served via
+        ``GET /debug/postmortem/<id>``.
     """
 
     def __init__(
@@ -107,7 +107,6 @@ class GraphAnalyticsService:
         telemetry: Telemetry | None = None,
         metrics=None,
         logger=None,
-        flight_recorder=True,
         stall_timeout: float | None = None,
     ) -> None:
         self.graph = graph
@@ -128,7 +127,6 @@ class GraphAnalyticsService:
             num_workers=self.num_workers,
             partition=partition,
             telemetry=self.telemetry,
-            flight_recorder=flight_recorder,
             stall_timeout=stall_timeout,
         )
         # Jobs last: workers must never observe a half-built service.
@@ -258,11 +256,8 @@ class GraphAnalyticsService:
     def debug_workers(self) -> dict:
         """The ``GET /debug/workers`` body: live flight-recorder view."""
         engine = self.engine
-        recorder = engine.flight_recorder
         return {
-            "flight_recorder": bool(
-                recorder is not None and recorder.is_open
-            ),
+            "flight_recorder": engine.flight_recorder.is_open,
             "stall_timeout": engine.stall_timeout,
             "stall_detected": engine.stall_detected,
             "stall_events": engine.stall_events,
@@ -271,19 +266,15 @@ class GraphAnalyticsService:
             "workers": engine.worker_status(),
         }
 
-    def _postmortem_dir(self):
-        recorder = self.engine.flight_recorder
-        if recorder is not None:
-            return recorder.postmortem_dir
-        return "results/postmortem"
-
     def postmortem_ids(self) -> list[str]:
         """The ``GET /debug/postmortem`` body: bundle ids on disk."""
-        return list_postmortems(self._postmortem_dir())
+        return list_postmortems(self.engine.flight_recorder.postmortem_dir)
 
     def postmortem(self, pm_id: str) -> dict | None:
         """One postmortem bundle by id (None: unknown/malformed id)."""
-        return load_postmortem(self._postmortem_dir(), pm_id)
+        return load_postmortem(
+            self.engine.flight_recorder.postmortem_dir, pm_id
+        )
 
     # -- metrics ---------------------------------------------------------
     def collect_metrics(self) -> None:
@@ -308,26 +299,23 @@ class GraphAnalyticsService:
             "Shard worker processes currently alive.",
         ).set(self.engine.workers_alive)
         engine = self.engine
-        recorder = engine.flight_recorder
-        if recorder is not None and recorder.is_open:
-            # One-hot phase gauges plus a progress ratio per worker —
-            # label cardinality is bounded by num_workers x 4 phases.
-            for row in engine.worker_status():
-                worker = str(row["worker"])
-                current = row.get("phase")
-                for phase in PHASE_NAMES.values():
-                    self.metrics.gauge(
-                        "repro_worker_phase",
-                        "1 for the worker's current flight-recorder "
-                        "phase, 0 for the others.",
-                        {"worker": worker, "phase": phase},
-                    ).set(1 if phase == current else 0)
+        # One-hot phase gauges plus a progress ratio per worker — label
+        # cardinality is bounded by num_workers x 4 phases.
+        for row in engine.worker_status():
+            worker = str(row["worker"])
+            for phase in PHASE_NAMES.values():
                 self.metrics.gauge(
-                    "repro_worker_progress_ratio",
-                    "Fraction of the current phase's arc range the "
-                    "worker has processed (1 when idle).",
-                    {"worker": worker},
-                ).set(float(row.get("progress_ratio", 0.0)))
+                    "repro_worker_phase",
+                    "1 for the worker's current flight-recorder "
+                    "phase, 0 for the others.",
+                    {"worker": worker, "phase": phase},
+                ).set(1 if phase == row["phase"] else 0)
+            self.metrics.gauge(
+                "repro_worker_progress_ratio",
+                "Fraction of the current phase's arc range the "
+                "worker has processed (1 when idle).",
+                {"worker": worker},
+            ).set(float(row["progress_ratio"]))
         skew_hist = self.metrics.histogram(
             "repro_superstep_skew_seconds",
             "Per-barrier slowest-vs-median worker busy-time gap — the "

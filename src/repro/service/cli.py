@@ -27,6 +27,7 @@ import signal
 import sys
 from pathlib import Path
 
+from repro.bsp.parallel import STALL_TIMEOUT
 from repro.service.app import GraphAnalyticsService, build_server
 from repro.telemetry.logs import StructuredLogger
 from repro.telemetry.metrics import NULL_METRICS
@@ -101,21 +102,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--no-metrics", action="store_true",
                         help="disable the metrics registry entirely "
                              "(/metrics serves an empty exposition)")
-    parser.add_argument("--stall-timeout", type=float, default=30.0,
-                        metavar="SECONDS",
+    parser.add_argument("--stall-timeout", type=float,
+                        default=STALL_TIMEOUT, metavar="SECONDS",
                         help="declare a shard worker stalled after this "
                              "many seconds without a flight-recorder "
-                             "event mid-barrier (0 disables; default "
-                             "%(default)s)")
-    parser.add_argument("--no-flight-recorder", action="store_true",
-                        help="disable the worker flight recorder "
-                             "(/debug/workers loses per-worker phase/"
-                             "progress and no postmortem bundles are "
-                             "written)")
+                             "event mid-barrier (default %(default)s)")
     parser.add_argument("--verbose", action="store_true",
                         help="log at debug level (includes http.server "
                              "internals)")
     args = parser.parse_args(argv)
+    if not 0 < args.stall_timeout < float("inf"):
+        parser.error("--stall-timeout must be a positive number of seconds")
 
     logger = StructuredLogger(
         sys.stdout,
@@ -136,8 +133,7 @@ def main(argv: list[str] | None = None) -> int:
         cache_capacity=args.cache_size,
         metrics=NULL_METRICS if args.no_metrics else None,
         logger=logger,
-        flight_recorder=not args.no_flight_recorder,
-        stall_timeout=args.stall_timeout if args.stall_timeout > 0 else None,
+        stall_timeout=args.stall_timeout,
     )
     server = build_server(service, args.host, args.port)
 

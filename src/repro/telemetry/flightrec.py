@@ -21,19 +21,18 @@ Design constraints, in order:
   corrupt one.
 * **Bounded** — a ring holds :attr:`FlightRecorder.capacity` records
   and overwrites the oldest; recording can never grow memory or block.
-* **Cheap enough to be default-on** — one record is two ``struct.pack``
+* **Cheap enough to be always on** — one record is two ``struct.pack``
   calls and a CRC over 44 bytes (~1-2 µs); a superstep writes a handful
-  of records per worker (an A/B against ``flight_recorder=False``
-  prices it; docs/OBSERVABILITY.md).
+  of records per worker (docs/OBSERVABILITY.md).
 
 On top of the rings sit:
 
 * :class:`StallWatchdog` — a parent-side daemon thread that samples the
   rings between barriers and flags workers whose open phase has seen no
   event (no progress tick) within ``stall_timeout`` seconds.  The
-  engine's pipe-receive loop consults the same predicate, so a wedged
-  worker turns into a :class:`~repro.bsp.parallel.WorkerStallError`
-  instead of an eternal blocking ``recv``.
+  engine's pipe-receive loop bounds every reply by the same deadline,
+  so a wedged worker turns into a
+  :class:`~repro.bsp.parallel.WorkerStallError`, never a hang.
 * **Postmortem bundles** — :meth:`FlightRecorder.dump_postmortem`
   freezes the full ring contents, per-worker status, the last barrier
   state, and the partition map into one JSON bundle under
@@ -469,16 +468,6 @@ class FlightRecorder:
         """One :class:`WorkerFlightStatus` per worker."""
         return [self.status(w) for w in range(self.num_workers)]
 
-    def seconds_since_last_event(
-        self, worker: int, *, now_ns: int | None = None
-    ) -> float | None:
-        """Age of the worker's newest event (None: nothing recorded yet)."""
-        status = self.status(worker)
-        if status.last_event_ns is None:
-            return None
-        now = time.monotonic_ns() if now_ns is None else now_ns
-        return max(0, now - status.last_event_ns) / 1e9
-
     def stalled_workers(
         self, stall_timeout: float, *, now_ns: int | None = None
     ) -> list[int]:
@@ -698,18 +687,14 @@ class StallWatchdog:
         self,
         recorder: FlightRecorder,
         *,
-        stall_timeout: float | None,
+        stall_timeout: float,
         poll_interval: float | None = None,
         on_stall: Callable[[int, float], None] | None = None,
     ) -> None:
         self.recorder = recorder
         self.stall_timeout = stall_timeout
         if poll_interval is None:
-            poll_interval = (
-                min(max(stall_timeout / 4.0, 0.02), 1.0)
-                if stall_timeout
-                else 1.0
-            )
+            poll_interval = min(max(stall_timeout / 4.0, 0.02), 1.0)
         self.poll_interval = poll_interval
         self._on_stall = on_stall
         self._stop = threading.Event()
@@ -748,13 +733,9 @@ class StallWatchdog:
             for status in self.recorder.statuses()
         ]
         newly: list[tuple[int, float]] = []
-        stalled: set[int] = set()
-        if self.stall_timeout:
-            stalled = set(
-                self.recorder.stalled_workers(
-                    self.stall_timeout, now_ns=now_ns
-                )
-            )
+        stalled = set(
+            self.recorder.stalled_workers(self.stall_timeout, now_ns=now_ns)
+        )
         with self._lock:
             self._snapshot = rows
             for w in stalled - self._stalled:

@@ -7,7 +7,7 @@ Two attachment modes, both read-only and non-intrusive:
   live recorders, attach to their shared-memory rings directly, and
   decode per-worker status out of the event records.  Works against any
   process on the host that built a
-  :class:`~repro.bsp.parallel.ShardedBSPEngine` with the (default-on)
+  :class:`~repro.bsp.parallel.ShardedBSPEngine` with the (always-on)
   flight recorder — no cooperation from the engine needed, the rings
   are sampled exactly like the engine's own watchdog samples them.
 * **URL mode** (``--url http://host:port``) — poll a ``repro serve``

@@ -11,15 +11,20 @@ while the parent decodes it.
 import json
 import os
 import signal
+import subprocess
+import sys
+import threading
 import time
 from multiprocessing import Process, active_children
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bsp import DenseBSPEngine, ShardedBSPEngine
+import repro
+from repro.bsp import DenseBSPEngine, ShardedBSPEngine, parallel
 from repro.bsp.parallel import ShardedWorkerError, WorkerStallError
 from repro.bsp_algorithms import DenseConnectedComponents
 from repro.graph import rmat
@@ -414,20 +419,18 @@ class TestEngineIntegration:
             assert [row["worker"] for row in rows] == list(range(workers))
             assert all(row["alive"] for row in rows)
 
-    def test_recorder_off_means_off(self, graph):
-        with ShardedBSPEngine(graph, num_workers=1) as engine:
-            assert engine.flight_recorder.is_open  # on unless refused
+    def test_a_recorder_in_use_is_refused_and_left_open(
+        self, graph, tmp_path
+    ):
+        recorder = _make_recorder(tmp_path)
         with ShardedBSPEngine(
-            graph, num_workers=2, flight_recorder=False
+            graph, num_workers=2, flight_recorder=recorder
         ) as engine:
+            with pytest.raises(RuntimeError, match="already open"):
+                ShardedBSPEngine(graph, num_workers=2, flight_recorder=recorder)
+            assert recorder.is_open
             engine.run(DenseConnectedComponents())
-            assert engine.flight_recorder is None
-            # Liveness rows survive without the recorder; ring-derived
-            # columns (phase/progress) do not.
-            rows = engine.worker_status()
-            assert [row["worker"] for row in rows] == [0, 1]
-            assert all(row["alive"] for row in rows)
-            assert all("phase" not in row for row in rows)
+            assert all(row["events_recorded"] for row in engine.worker_status())
 
     def test_skew_samples_accumulate(self, graph, tmp_path):
         with ShardedBSPEngine(
@@ -526,10 +529,9 @@ class TestEngineIntegration:
             engine.close()
 
     def test_stall_timeout_validation(self, graph):
-        with pytest.raises(ValueError):
-            ShardedBSPEngine(graph, num_workers=2, stall_timeout=0.0)
-        with pytest.raises(ValueError):
-            ShardedBSPEngine(graph, num_workers=2, stall_timeout=-1.0)
+        for bad in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                ShardedBSPEngine(graph, num_workers=2, stall_timeout=bad)
 
 
 # -- the failure rule -------------------------------------------------------
@@ -625,6 +627,66 @@ class TestFailureRule:
         finally:
             self.assert_close_is_bounded(engine)
 
+    def test_default_engine_never_hangs_on_a_stopped_worker(
+        self, graph, tmp_path, monkeypatch
+    ):
+        """No ``stall_timeout`` passed: the default deadline still bounds
+        every barrier, so a stopped worker is a typed error, not a hang."""
+        monkeypatch.chdir(tmp_path)  # the default recorder's bundles
+        monkeypatch.setattr(parallel, "STALL_TIMEOUT", 0.5)
+        engine = ShardedBSPEngine(graph, num_workers=2)
+        try:
+            assert engine.stall_timeout == 0.5
+            engine.run(DenseConnectedComponents())
+            os.kill(engine.worker_status()[1]["pid"], signal.SIGSTOP)
+            with pytest.raises(WorkerStallError) as excinfo:
+                engine.run(DenseConnectedComponents())
+            assert excinfo.value.worker == 1
+        finally:
+            self.assert_close_is_bounded(engine)
+
+    def test_idling_past_the_deadline_is_not_a_stall(self, graph, tmp_path):
+        """Silence runs from the task's send, not from the last run's
+        final ring event: a worker that idled longer than the deadline
+        and then wakes slowly (here: stopped for 0.3 s) is not stalled."""
+        dense = DenseBSPEngine(graph).run(DenseConnectedComponents())
+        engine = ShardedBSPEngine(
+            graph,
+            num_workers=2,
+            stall_timeout=1.0,
+            flight_recorder=_make_recorder(tmp_path),
+        )
+        try:
+            engine.run(DenseConnectedComponents())
+            time.sleep(1.2)
+            victim = engine.worker_status()[1]["pid"]
+            os.kill(victim, signal.SIGSTOP)
+            wake = threading.Timer(0.3, os.kill, (victim, signal.SIGCONT))
+            wake.start()
+            try:
+                assert_results_equal(
+                    dense, engine.run(DenseConnectedComponents())
+                )
+            finally:
+                wake.join()
+            assert not engine.stall_detected
+        finally:
+            self.assert_close_is_bounded(engine)
+
+    def test_a_worker_without_its_ring_fails_the_start(
+        self, graph, tmp_path, monkeypatch
+    ):
+        recorder = _make_recorder(tmp_path)
+        monkeypatch.setattr(
+            recorder,
+            "worker_spec",
+            lambda: {"shm": "repro-no-such-ring", "capacity": 8},
+        )
+        with pytest.raises(ShardedWorkerError, match="failed to start") as excinfo:
+            ShardedBSPEngine(graph, num_workers=2, flight_recorder=recorder)
+        assert "FileNotFoundError" in excinfo.value.worker_tracebacks[0]
+        assert not recorder.is_open
+
     def test_program_error_leaves_the_pipes_in_step(self, graph, tmp_path):
         """The rule must not over-trigger: see
         ``test_crash_dumps_postmortem_with_traceback`` for the run that
@@ -638,3 +700,77 @@ class TestFailureRule:
             engine.run(DenseConnectedComponents())
         finally:
             self.assert_close_is_bounded(engine)
+
+
+# -- a dead parent ------------------------------------------------------------
+
+_ORPHANING_PARENT = """
+import json, sys, time
+from repro.bsp import ShardedBSPEngine, _pool
+from repro.bsp_algorithms import DenseConnectedComponents
+from repro.graph import rmat
+from repro.telemetry.flightrec import FlightRecorder
+
+_pool.get_all_start_methods = lambda: [sys.argv[1]]
+engine = ShardedBSPEngine(
+    rmat(scale=7, edge_factor=8, seed=7),
+    num_workers=2,
+    flight_recorder=FlightRecorder(postmortem_dir=sys.argv[2], beacon_dir=None),
+)
+engine.run(DenseConnectedComponents())
+blocks = [
+    *engine._pool._blocks,
+    *engine._run_blocks.values(),
+    engine.flight_recorder._shm,
+]
+print(json.dumps({
+    "pids": [row["pid"] for row in engine.worker_status()],
+    "blocks": [shm.name.lstrip("/") for shm in blocks],
+}), flush=True)
+time.sleep(600)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie has exited)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.usefixtures("hard_timeout", "census")
+class TestParentDeath:
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_killed_parent_leaves_no_worker_and_no_block(
+        self, method, tmp_path
+    ):
+        """SIGKILL skips every cleanup the parent would run: the workers
+        must see their pipes close and exit, and the resource tracker then
+        unlinks every block — the flight recorder's ring included."""
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        parent = subprocess.Popen(
+            [sys.executable, "-c", _ORPHANING_PARENT, method, str(tmp_path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            env=env,
+        )
+        try:
+            left = json.loads(parent.stdout.readline())
+        finally:
+            parent.kill()
+            parent.wait()
+            parent.stdout.close()
+        assert len(left["pids"]) == 2 and len(left["blocks"]) >= 7
+        deadline = time.monotonic() + 20.0
+        while True:
+            alive = [pid for pid in left["pids"] if _running(pid)]
+            blocks = [
+                name for name in left["blocks"]
+                if os.path.exists(f"/dev/shm/{name}")
+            ]
+            if not (alive or blocks) or time.monotonic() > deadline:
+                break
+            time.sleep(0.05)
+        assert (alive, blocks) == ([], [])

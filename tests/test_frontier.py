@@ -711,9 +711,7 @@ class TestComplement:
             marked = engine._senders
             hist = engine._pool.arrays["hist"]
             for w in range(2):
-                shard = _worker._Shard(
-                    dict(engine._pool.spec, worker_index=w), None
-                )
+                shard = _worker._Shard(dict(engine._pool.spec, worker_index=w))
                 sub = shard.graph
                 try:
                     for density in (0.0, 0.3, 0.9, 1.0):

@@ -1,7 +1,9 @@
 """Package hygiene: every module imports, every __all__ name resolves,
 the README quickstart actually runs, docstrings exist on public API."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -28,6 +30,40 @@ def test_all_names_resolve(module_name):
     module = importlib.import_module(module_name)
     for name in getattr(module, "__all__", []):
         assert hasattr(module, name), f"{module_name}.__all__: {name}"
+
+
+def test_package_reexports_are_in_their_submodules_all():
+    """A name a package ``__init__`` imports from one of its submodules
+    is part of that submodule's public API: ``from submodule import *``
+    must bring it too."""
+    packages = ["repro"] + [
+        name for name in MODULES
+        if hasattr(importlib.import_module(name), "__path__")
+    ]
+    missing = []
+    for package in packages:
+        init = importlib.import_module(package)
+        for node in ast.parse(inspect.getsource(init)).body:
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level:
+                base = package.rsplit(".", node.level - 1)[0]
+                source = ".".join(filter(None, (base, node.module)))
+            else:
+                source = node.module or ""
+            if not source.startswith(package + "."):
+                continue
+            submodule = importlib.import_module(source)
+            exported = getattr(submodule, "__all__", None)
+            if exported is None:
+                continue
+            missing += [
+                f"{source}.{alias.name}"
+                for alias in node.names
+                if alias.name not in exported
+                and not inspect.ismodule(getattr(submodule, alias.name))
+            ]
+    assert missing == []
 
 
 @pytest.mark.parametrize("module_name", MODULES)

@@ -18,7 +18,7 @@ from repro.bsp_algorithms import (
     bsp_count_triangles,
     bsp_sssp,
 )
-from repro.graph import from_edge_list, star_graph
+from repro.graph import from_edge_list, path_graph, star_graph
 from repro.graph.wedges import closed_wedges
 from repro.graphct import (
     breadth_first_search,
@@ -143,13 +143,17 @@ class TestConnectedComponentsProperties:
         counted = bsp_connected_components(g, engine=engine).num_components
         assert counted == np.unique(labels).size
 
-    @given(graphs(), st.integers(min_value=1, max_value=4))
-    @settings(max_examples=60)
-    def test_num_components_of_a_truncated_run(self, g, max_supersteps):
-        """Cut short, labels are not yet component minima (a "label ==
-        own id" count would be wrong); distinct labels still count."""
-        cut = bsp_connected_components(g, max_supersteps=max_supersteps)
-        assert cut.num_components == np.unique(cut.labels).size
+    def test_a_long_path_is_never_truncated(self):
+        """The wrappers run under ``num_vertices + 1`` supersteps, which
+        no CC or BFS can use up: a path longer than any fixed cap is
+        one component, and BFS from one end reaches the other."""
+        n = 10_050
+        g = path_graph(n)
+        cc = bsp_connected_components(g)
+        assert cc.num_components == 1
+        assert not cc.labels.any()
+        bfs = bsp_breadth_first_search(g, 0)
+        assert np.array_equal(bfs.distances, np.arange(n))
 
 
 class TestBFSProperties:

@@ -1028,7 +1028,7 @@ class TestFlightRecorderEndpoints:
     def test_debug_workers_endpoint(self, client):
         code, body = client.get("/debug/workers")
         assert code == 200, body
-        assert body["flight_recorder"] is True  # default-on
+        assert body["flight_recorder"] is True  # always on
         assert body["stall_detected"] is False
         assert body["partition_policy"]
         rows = body["workers"]
@@ -1038,6 +1038,19 @@ class TestFlightRecorderEndpoints:
             assert row["pid"]
             assert row["phase"] in ("idle", "run", "scatter", "gather")
             assert 0.0 <= row["progress_ratio"] <= 1.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--stall-timeout", bad] for bad in ("0", "-1", "inf", "nan")]
+        + [["--no-flight-recorder"]],
+    )
+    def test_supervision_has_no_off_switch(self, argv, capsys):
+        from repro.service.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert argv[0] in capsys.readouterr().err
 
     def test_debug_postmortem_listing_and_404(self, client):
         code, body = client.get("/debug/postmortem")

@@ -355,9 +355,10 @@ def layout_partition(request, layout_graph, num_workers):
 
 def _shards(engine):
     """In-process twins of the engine's workers, built as they build
-    themselves: from the pool's spec (no flight-recorder ring)."""
+    themselves: from the pool's spec (a twin attaches worker ``w``'s
+    ring, but only a gather would record to it)."""
     return [
-        _worker._Shard(dict(engine._pool.spec, worker_index=w), None)
+        _worker._Shard(dict(engine._pool.spec, worker_index=w))
         for w in range(engine.num_workers)
     ]
 
@@ -1061,7 +1062,10 @@ class TestEngineSelection:
 
     def test_constructor_surface(self):
         """The option census: ten keywords, none of them a wire format
-        or a start method — and no environment variable stands in."""
+        or a start method — and no environment variable stands in.
+        Supervision has no off switch: the recorder is an instance (a
+        default one when omitted), never a bool, and the stall deadline
+        a positive number of seconds (``STALL_TIMEOUT`` when omitted)."""
         assert list(inspect.signature(ShardedBSPEngine).parameters) == [
             "graph", "num_workers", "partition", "check", "flight_recorder",
             "stall_timeout", "combine_messages", "frontier_policy",
@@ -1070,3 +1074,8 @@ class TestEngineSelection:
         for kwarg in ("wire", "start_method"):
             with pytest.raises(TypeError, match=kwarg):
                 ShardedBSPEngine(star_graph(4), **{kwarg: None})
+        for switch in (False, True):
+            with pytest.raises(TypeError, match="FlightRecorder"):
+                ShardedBSPEngine(star_graph(4), flight_recorder=switch)
+        with pytest.raises(ValueError, match="stall_timeout"):
+            ShardedBSPEngine(star_graph(4), stall_timeout=0)

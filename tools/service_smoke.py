@@ -7,7 +7,9 @@ connection (a response split over two TCP segments stalls each one for
 ~40 ms), exercises one result-cache hit, scrapes ``/metrics`` and
 validates the Prometheus exposition (format and the core metric
 families), then sends SIGTERM and verifies the graceful drain (exit code
-0, drain log line, no orphaned processes).
+0, drain log line, no orphaned processes).  Last, it SIGKILLs a second
+server after one job — no drain runs — and verifies that its shard
+workers exit and its shared-memory blocks are unlinked within 10 s.
 This covers the process/signal path that the in-process suite
 (``tests/test_service.py``) cannot.
 
@@ -29,6 +31,7 @@ import sys
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 from urllib.parse import urlsplit
 
 SERVE_ARGS = [
@@ -80,7 +83,7 @@ METRIC_FAMILIES = (
 
 
 def check_debug_workers(base: str, expected_workers: int) -> None:
-    """Probe the flight-recorder debug endpoint (default-on recorder)."""
+    """Probe the flight-recorder debug endpoint (the recorder is always on)."""
     body = _request(base, "/debug/workers")
     assert body["flight_recorder"] is True, body
     assert body["stall_detected"] is False, body
@@ -166,28 +169,77 @@ def _submit_and_fetch(base: str, algorithm: str, params: dict) -> dict:
     return _request(base, f"/jobs/{sub['job_id']}/result")
 
 
+def _serve(scale: int) -> tuple[subprocess.Popen, str]:
+    """Start ``repro serve``; returns the process and its base URL."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve",
+         "--scale", str(scale), *SERVE_ARGS],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    # Startup is a structured `serve.start` log line carrying the bound
+    # address as a url= field.
+    banner = proc.stdout.readline()
+    print(banner, end="")
+    assert "serve.start" in banner, f"unexpected first line: {banner!r}"
+    match = re.search(r"url=(http://[\d.]+:\d+)", banner)
+    assert match, f"no server address in startup line: {banner!r}"
+    return proc, match.group(1)
+
+
+#: Seconds a SIGKILLed server's workers and blocks may outlive it.
+ORPHAN_LIMIT_S = 10.0
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie has exited)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def check_killed_server_leaves_nothing(scale: int) -> None:
+    """SIGKILL a server after one job: no drain runs, yet its workers
+    must exit and its shared memory must be unlinked."""
+    proc, base = _serve(scale)
+    try:
+        _submit_and_fetch(base, "cc", {})  # the run blocks now exist
+        pids = [row["pid"] for row in _request(base, "/debug/workers")["workers"]]
+        # Every block a worker maps: the graph, the run blocks, the ring.
+        blocks = {
+            line.split()[-1]
+            for pid in pids
+            for line in Path(f"/proc/{pid}/maps").read_text().splitlines()
+            if "/dev/shm/" in line
+        }
+        assert blocks, "the workers map no shared memory"
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+    deadline = time.monotonic() + ORPHAN_LIMIT_S
+    while True:
+        alive = [pid for pid in pids if _running(pid)]
+        left = sorted(path for path in blocks if Path(path).exists())
+        if not (alive or left) or time.monotonic() > deadline:
+            break
+        time.sleep(0.1)
+    proc.stdout.close()
+    assert not alive, f"workers {alive} outlived the killed server"
+    assert not left, f"blocks {left} outlived the killed server"
+    print(f"kill ok: {len(pids)} workers and {len(blocks)} blocks gone "
+          "after SIGKILL")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", type=int, default=8)
     args = parser.parse_args(argv)
 
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve",
-         "--scale", str(args.scale), *SERVE_ARGS],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-    )
+    proc, base = _serve(args.scale)
     try:
-        # Startup is a structured `serve.start` log line carrying the
-        # bound address as a url= field.
-        banner = proc.stdout.readline()
-        print(banner, end="")
-        assert "serve.start" in banner, f"unexpected first line: {banner!r}"
-        match = re.search(r"url=(http://[\d.]+:\d+)", banner)
-        assert match, f"no server address in startup line: {banner!r}"
-        base = match.group(1)
-
         # The same graph the server built, computed directly in-process.
         from repro.bsp_algorithms import (
             bsp_breadth_first_search,
@@ -232,18 +284,18 @@ def main(argv: list[str] | None = None) -> int:
         assert proc.returncode == 0, f"serve exited with {proc.returncode}"
         assert "drained" in out, "no drain banner after SIGTERM"
         print("shutdown ok: drained cleanly on SIGTERM")
-        return 0
     finally:
         if proc.poll() is None:
             # A check failed.  SIGTERM first, so the server still drains
-            # and its shard workers and shared memory are released; a
-            # bare SIGKILL orphans them.
+            # and its shard workers and shared memory are released.
             proc.terminate()
             try:
                 proc.wait(timeout=30)
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait(timeout=30)
+    check_killed_server_leaves_nothing(args.scale)
+    return 0
 
 
 if __name__ == "__main__":
