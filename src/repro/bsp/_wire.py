@@ -14,9 +14,15 @@ counts.
 
 Frames (sizes are pinned by ``tests/test_frontier.py``):
 
-* ``("run", program, values_name, dtype_str, gathered_name,
-  shadow_name)`` — once per run; the program object has no fixed
-  layout, so this frame's body (and only this one) is pickled.
+* ``("run", install, task)`` — a worker's first task of a run, carrying
+  the run's install: ``install`` is :func:`pack_install`'s pickle of
+  ``(program, values_name, dtype_str, gathered_name, shadow_name)``,
+  made once per run, so every worker gets the program as the run
+  began; ``task`` is a scatter, gather or deliver message.  The program
+  object has no fixed layout, so this frame's body (and only this one)
+  is pickled: ``(install, task's own frame)``.  A worker whose first
+  task of the run never comes gets no install (a run kept in the
+  parent sends nothing).
 * ``("scatter", generation, senders, mode)`` /
   ``("gather", generation, senders, mode)`` /
   ``("deliver", generation, senders, mode)`` — per superstep;
@@ -58,6 +64,8 @@ __all__ = [
     "WorkerStallError",
     "make_wire",
     "ok_reply",
+    "pack_install",
+    "unpack_install",
 ]
 
 
@@ -189,8 +197,10 @@ class PackedWire:
         if cmd == "error":
             return bytes([_REPLY_ERR]) + msg[1].encode("utf-8", "replace")
         if cmd == "run":
-            body = pickle.dumps(msg[1:], pickle.HIGHEST_PROTOCOL)  # run frame
-            return bytes([_CMD_RUN]) + body
+            _, install, task = msg
+            body = (install, PackedWire._encode(task))
+            pickled = pickle.dumps(body, pickle.HIGHEST_PROTOCOL)  # run frame
+            return bytes([_CMD_RUN]) + pickled
         if cmd == "close":
             return bytes([_CMD_CLOSE])
         raise ValueError(f"unknown wire command {cmd!r}")
@@ -248,12 +258,22 @@ class PackedWire:
                 raise WireFormatError(
                     f"run frame body failed to unpickle: {exc!r}"
                 ) from exc
-            if not isinstance(body, tuple):
+            if not (
+                isinstance(body, tuple)
+                and len(body) == 2
+                and all(isinstance(part, bytes) for part in body)
+            ):
                 raise WireFormatError(
-                    "run frame body is not a tuple: "
-                    f"{type(body).__name__}"
+                    "run frame body is not an (install, task frame) pair "
+                    "of bytes"
                 )
-            return ("run", *body)
+            install, frame = body
+            task = PackedWire._decode(frame)
+            if task[0] not in _ARRAY_CODE:
+                raise WireFormatError(
+                    f"run frame carries a {task[0]} frame, not a task"
+                )
+            return ("run", install, task)
         if code == _CMD_CLOSE:
             if len(buf) != 1:
                 raise WireFormatError(
@@ -268,6 +288,24 @@ def make_wire(name: str) -> PackedWire:
     if name != "packed":
         raise ValueError(f"wire must be 'packed', got {name!r}")
     return PackedWire()
+
+
+def pack_install(
+    program: object,
+    values_name: str,
+    dtype_str: str,
+    gathered_name: str,
+    shadow_name: str | None,
+) -> bytes:
+    """A run's install, pickled once for every worker's ``run`` frame."""
+    install = (program, values_name, dtype_str, gathered_name, shadow_name)
+    return pickle.dumps(install, pickle.HIGHEST_PROTOCOL)  # run frame
+
+
+def unpack_install(install: bytes) -> tuple:
+    """The ``(program, values_name, dtype_str, gathered_name,
+    shadow_name)`` a :func:`pack_install` pickle holds."""
+    return pickle.loads(install)  # run frame
 
 
 def ok_reply(busy_ns: int, peak_rss: int, arcs: int | None = None) -> tuple:

@@ -4,11 +4,13 @@ A worker owns one vertex shard and its out-arcs (its graph is the shard's
 sub-CSR) and serves one task per frame (:mod:`repro.bsp._wire`) until
 told to close:
 
-* ``run`` views the run's shared blocks with the run's dtypes (values,
-  this worker's slice of the per-destination output, and in check mode
-  its shadow slice).  The blocks belong to the engine and outlive runs:
-  a block is attached once per name, and a superseded one (the parent
-  replaced it with a larger block) has its mapping closed;
+* ``run`` carries the worker's first task of a run with the run's
+  install: the worker views the run's shared blocks with the run's
+  dtypes (values, this worker's slice of the per-destination output, and
+  in check mode its shadow slice), then serves the task and sends one
+  reply.  The blocks belong to the engine and outlive runs: a block is
+  attached once per name, and a superseded one (the parent replaced it
+  with a larger block) has its mapping closed at the next install;
 * ``scatter`` reads the shard's senders off the shared ``senders``
   bitmap the parent marked, selects their out-arcs (a complement: the
   whole shard less the rows of its quiet vertices), publishes the
@@ -26,8 +28,9 @@ worker's peak RSS ride on the ``("ok", ...)`` reply, so the parent's
 telemetry draws per-worker rows, barrier-wait skew and memory without a
 second round trip (~1 us per task).  Each task is also bracketed by
 enter/exit events in this worker's flight-recorder ring
-(``spec["flightrec"]``) and the gather fold ticks progress per arc chunk
-— what the stall deadline, the watchdog and ``repro top`` read.
+(``spec["flightrec"]``), and the scatter histogram and the gather fold
+tick progress per arc chunk — what the stall deadline, the watchdog and
+``repro top`` read.
 
 A worker announces its start with one ``("ok", ...)`` frame once its
 blocks and ring are attached, or an ``("error", traceback)`` frame if
@@ -45,8 +48,8 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.bsp._scatter import NO_ARCS, complement_histogram, fill_left_out
-from repro.bsp._wire import PackedWire, ok_reply
+from repro.bsp._scatter import NO_ARCS, fill_left_out
+from repro.bsp._wire import PackedWire, ok_reply, unpack_install
 from repro.bsp.dense import DenseVertexProgram
 from repro.bsp.frontier import COMPLEMENT, select_arcs
 from repro.graph.csr import CSRGraph, arc_indices
@@ -58,7 +61,6 @@ from repro.telemetry.flightrec import (
     EV_RSS,
     PH_GATHER,
     PH_IDLE,
-    PH_RUN,
     PH_SCATTER,
     RingWriter,
 )
@@ -75,8 +77,12 @@ __all__ = ["worker_main"]
 #: the whole range) is preserved.
 _PROGRESS_CHUNK_ARCS = 1 << 18
 
+#: Least arc chunk per scatter-histogram ``bincount``; a chunk is
+#: ``max(this, n)`` arcs, so each chunk's n-long count is amortised over
+#: at least n arcs, and a flood of up to this many arcs is one pass.
+_HISTOGRAM_CHUNK_ARCS = 1 << 20
+
 _PHASE_BY_CMD = {
-    "run": PH_RUN,
     "scatter": PH_SCATTER,
     "gather": PH_GATHER,
     "deliver": PH_GATHER,
@@ -124,6 +130,9 @@ class _Shard:
         self.senders = self._view(static(spec["senders"]), n, np.bool_)
         self.senders.setflags(write=False)
         self.owned = self.graph.degrees() > 0
+        # The shard's per-destination arc counts, made at its first
+        # complement scatter (a pass over every arc, with progress ticks).
+        self.in_degrees: np.ndarray | None = None
         # Set by run() / select(); the parent always sends those first.
         self.program: Any = None
         self.values: Any = None
@@ -205,16 +214,41 @@ class _Shard:
 
     def scatter(self, generation: int, mode: str) -> int:
         """Select the shard's flood and publish its histogram; returns
-        how many arcs it selects."""
+        how many arcs it selects.  Progress ticks follow the selection
+        and each histogram chunk."""
         self.select(generation, mode)
-        graph = self.graph
+        dst, hist = self.dst, self.hist_out
+        step = int(generation)
+        self.ring.record(EV_PROGRESS, PH_SCATTER, step, 0, int(dst.size))
         if isinstance(self.sel, slice):
-            self.hist_out[:] = complement_histogram(
-                graph.in_degrees(), self.dst, self.left_out
-            )
+            # A complement: every arc's count less the left-out arcs'.
+            if self.in_degrees is None:  # the shard's first: count them all
+                self.in_degrees = np.zeros(self.n, dtype=np.int64)
+                self._count(step, self.in_degrees, dst, np.add)
+            hist[:] = self.in_degrees
+            self._count(step, hist, dst, np.subtract, self.left_out)
         else:
-            self.hist_out[:] = np.bincount(self.dst, minlength=self.n)
-        return int(self.dst.size - self.left_out.size)
+            hist[:] = 0
+            self._count(step, hist, dst, np.add)
+        return int(dst.size - self.left_out.size)
+
+    def _count(
+        self,
+        step: int,
+        hist: np.ndarray,
+        dst: np.ndarray,
+        fold: np.ufunc,
+        arcs: np.ndarray | None = None,
+    ) -> None:
+        """``fold`` the per-destination counts of ``dst`` (of
+        ``dst[arcs]``) into ``hist``, a progress tick after each chunk."""
+        total = int(dst.size if arcs is None else arcs.size)
+        chunk = max(_HISTOGRAM_CHUNK_ARCS, self.n)
+        for done in range(0, total, chunk):
+            end = min(done + chunk, total)
+            part = dst[done:end] if arcs is None else dst[arcs[done:end]]
+            fold(hist, np.bincount(part, minlength=self.n), out=hist)
+            self.ring.record(EV_PROGRESS, PH_SCATTER, step, end, total)
 
     def gather(self, generation: int) -> int:
         if generation != self.generation:
@@ -309,17 +343,19 @@ def worker_main(conn: "Connection", spec: dict, inherited: tuple) -> None:
             if cmd == "close":
                 return
             t_busy = time.perf_counter_ns()
+            install: bytes | None = None
+            if cmd == "run":  # the run's install rides on its first task
+                _, install, msg = msg
+                cmd = msg[0]
             phase = _PHASE_BY_CMD.get(cmd, PH_IDLE)
-            step = (
-                int(msg[1]) if cmd in ("scatter", "gather", "deliver") else -1
-            )
+            step = int(msg[1]) if cmd in _PHASE_BY_CMD else -1
             ring.record(EV_ENTER, phase, step)
             arcs: int | None = None
             reply: tuple | None = None
             try:
-                if cmd == "run":
-                    shard.run(*msg[1:])
-                elif cmd == "scatter":
+                if install is not None:
+                    shard.run(*unpack_install(install))
+                if cmd == "scatter":
                     # msg[2] is the codec's id field, empty from the engine.
                     arcs = shard.scatter(msg[1], msg[3])
                 elif cmd == "gather":

@@ -21,7 +21,7 @@ Design:
   ``gathered`` output and (``check=True``) the ``shadow`` copies live in
   shared blocks the engine creates at its first run and keeps until
   :meth:`~ShardedBSPEngine.close`.  Each run re-views them with its own
-  dtypes and names them in its run frame; a block is replaced only when a
+  dtypes and names them in its install; a block is replaced only when a
   run needs more bytes than it holds, and the workers attach a block once
   per name.  So ``engine.values`` is run state the next run overwrites;
   a :class:`~repro.bsp.engine.BSPResult` holds a copy.
@@ -55,7 +55,11 @@ Design:
   frames (:mod:`repro.bsp._wire`) that carry no vertex ids, counted in
   :attr:`ShardedBSPEngine.pipe_bytes`, and a fanned-out superstep costs
   at most two of them: a scatter, then a gather if the program reads its
-  messages.
+  messages.  A run costs no exchange of its own: its install (the
+  pickled program and block names, made once per run) rides in a
+  ``run`` frame around each worker's first task, so a run that stays in
+  the parent sends nothing, and a worker no flood of the run reaches is
+  not installed for it.
 * **Near-full floods cost one exchange** — when a flood leaves out at
   most :data:`_LOCAL_SUPERSTEP_ARCS` arcs (every PageRank round, CC's
   first ones), the parent takes its histogram from the in-degree vector
@@ -89,7 +93,12 @@ import numpy as np
 
 from repro.bsp._pool import WorkerPool, release_block, shared_array
 from repro.bsp._scatter import complement_histogram, receivers_of
-from repro.bsp._wire import OkReply, ShardedWorkerError, WorkerStallError
+from repro.bsp._wire import (
+    OkReply,
+    ShardedWorkerError,
+    WorkerStallError,
+    pack_install,
+)
 from repro.bsp.dense import DenseBSPEngine, DenseVertexProgram
 from repro.bsp.frontier import FrontierPolicy
 from repro.cluster.partition import balanced_edge_partition, hash_partition
@@ -331,6 +340,9 @@ class ShardedBSPEngine(DenseBSPEngine):
         # Run blocks by role ("values", "gathered", "shadow"), kept for
         # the engine's lifetime and re-viewed by every run (_begin_run).
         self._run_blocks: dict[str, Any] = {}
+        # The run's pickled install, and the workers it has not reached.
+        self._install = b""
+        self._uninstalled: set[int] = set()
         self._gathered: np.ndarray | None = None
         self._shadow: np.ndarray | None = None
         self._shard_mode: str | None = None
@@ -422,7 +434,15 @@ class ShardedBSPEngine(DenseBSPEngine):
     def _exchange(
         self, tasks: dict[int, tuple], phase: str = "control"
     ) -> dict[int, OkReply]:
-        """One pool exchange, stamped with where the run is."""
+        """One pool exchange, stamped with where the run is; a worker's
+        first task of the run carries the run's install."""
+        uninstalled = self._uninstalled
+        if uninstalled:
+            tasks = {
+                w: ("run", self._install, task) if w in uninstalled else task
+                for w, task in tasks.items()
+            }
+            uninstalled.difference_update(tasks)
         return self._pool.exchange(
             tasks,
             phase=phase,
@@ -538,15 +558,16 @@ class ShardedBSPEngine(DenseBSPEngine):
         for shm in superseded:
             release_block(shm)
         blocks = self._run_blocks
-        task = (
-            "run",
+        # Sent with each worker's first task of the run (_exchange): a
+        # run that stays in the parent sends nothing.
+        self._install = pack_install(
             program,
             blocks["values"].name,
             values.dtype.str,
             blocks["gathered"].name,
             blocks["shadow"].name if self.check else None,
         )
-        self._exchange({w: task for w in range(self.num_workers)})
+        self._uninstalled = set(range(self.num_workers))
 
     def _scatter_reset(self) -> None:
         super()._scatter_reset()

@@ -8,7 +8,10 @@ floods ``distance + w(v, n)`` to each neighbour ``n``.
 The module pairs the per-vertex :class:`BSPShortestPaths` (run by the
 reference engine) with the whole-superstep :class:`DenseShortestPaths`
 (run by the :class:`~repro.bsp.dense.DenseBSPEngine` — the benchmark
-path).
+path).  On an unweighted graph the distances are Algorithm 2's BFS
+levels, and :func:`bsp_sssp` runs
+:class:`~repro.bsp_algorithms.bfs.DenseBreadthFirstSearch`, whose
+receiver filter never builds an inbox.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from repro.bsp import engine_for
 from repro.bsp.dense import DenseSuperstepContext, DenseVertexProgram
 from repro.bsp.frontier import source_values
 from repro.bsp.vertex import VertexContext, VertexProgram
-from repro.graph.csr import CSRGraph, check_vertex
+from repro.bsp_algorithms.bfs import UNREACHED, DenseBreadthFirstSearch
+from repro.graph.csr import CSRGraph, check_vertex, check_weights
 from repro.xmt.trace import WorkTrace
 
 __all__ = [
@@ -122,18 +126,26 @@ def bsp_sssp(
     this graph (sharded, traced, ... as built), left open; the default
     is a :class:`~repro.bsp.DenseBSPEngine` for the call.  Distances are
     the same on any engine: min-combine folds are exact at any partition.
+
+    With unit weights every message of superstep ``s`` is ``s``, so the
+    run is :class:`DenseBreadthFirstSearch` (traced as ``bsp/sssp``): the
+    same supersteps, message counts and work trace, but no inbox is ever
+    folded (no gather exchange on a sharded engine).  Its levels come
+    back as float64 distances, ``inf`` where unreached.  Weights must be
+    finite and non-negative (:func:`~repro.graph.csr.check_weights`).
     """
     source = check_vertex(graph, source)
-    if graph.weights is not None and graph.weights.size and graph.weights.min() < 0:
-        raise ValueError("bsp_sssp requires non-negative weights")
+    check_weights(graph)
+    unit = graph.weights is None
     result = engine_for(graph, engine).run(
-        DenseShortestPaths(source),
+        DenseBreadthFirstSearch(source) if unit else DenseShortestPaths(source),
         max_supersteps=graph.num_vertices + 1,
         trace_label="bsp/sssp",
     )
+    dist = result.values
     return BSPSSSPResult(
         source=source,
-        distances=result.values,
+        distances=np.where(dist == UNREACHED, np.inf, dist) if unit else dist,
         num_supersteps=result.num_supersteps,
         active_per_superstep=result.active_per_superstep,
         messages_per_superstep=result.messages_per_superstep,

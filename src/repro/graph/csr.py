@@ -17,7 +17,7 @@ from typing import Iterator
 import numpy as np
 from numpy.typing import NDArray
 
-__all__ = ["CSRGraph", "arc_indices", "check_vertex"]
+__all__ = ["CSRGraph", "arc_indices", "check_vertex", "check_weights"]
 
 # Vertex ids and offsets.  int64 everywhere: the paper's graphs have 2^24
 # vertices and 2^28 edges, and offset arithmetic on subsampled wedge batches
@@ -286,6 +286,21 @@ def check_vertex(graph: CSRGraph, v: int) -> int:
     if not 0 <= v < graph.num_vertices:
         raise IndexError(f"vertex {v} out of range [0, {graph.num_vertices})")
     return v
+
+
+def check_weights(graph: CSRGraph) -> None:
+    """Raise ``ValueError`` unless every arc weight of ``graph`` is finite
+    and non-negative (an unweighted graph passes).
+
+    ``min() < 0`` alone lets NaN through: a NaN weight compares false
+    against every distance, so the arcs behind it silently read as
+    unreachable.
+    """
+    weights = graph.weights
+    if weights is not None and weights.size and not (
+        np.isfinite(weights).all() and weights.min() >= 0
+    ):
+        raise ValueError("arc weights must be finite and non-negative")
 
 
 def arc_indices(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph, arc_indices, check_vertex
+from repro.graph.csr import CSRGraph, arc_indices, check_vertex, check_weights
 from repro.runtime.loops import Tracer
 from repro.xmt.calibration import DEFAULT_COSTS, KernelCosts
 from repro.xmt.trace import WorkTrace
@@ -43,13 +43,14 @@ def sssp(
 ) -> SSSPResult:
     """Shortest paths from ``source``; unweighted arcs count 1.
 
-    Negative weights are rejected (Bellman–Ford rounds would still
-    converge, but negative cycles are undetectable in this formulation).
+    Negative, NaN and infinite weights are rejected
+    (:func:`~repro.graph.csr.check_weights`): Bellman–Ford rounds would
+    still converge on negative ones, but negative cycles are
+    undetectable in this formulation.
     """
     source = check_vertex(graph, source)
     n = graph.num_vertices
-    if graph.weights is not None and graph.weights.size and graph.weights.min() < 0:
-        raise ValueError("sssp requires non-negative weights")
+    check_weights(graph)
 
     tracer = Tracer(label="graphct/sssp")
     dist = np.full(n, np.inf)

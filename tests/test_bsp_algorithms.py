@@ -224,6 +224,16 @@ class TestBSPSSSP:
         with pytest.raises(ValueError):
             bsp_sssp(g, 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_and_infinite_weights_rejected(self, bad):
+        """A NaN weight used to read as "unreachable" past it: the path
+        0-1-2 with weights [nan, 1] returned [0, inf, inf]."""
+        g = from_edge_list([(0, 1), (1, 2)], weights=[bad, 1.0])
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            bsp_sssp(g, 0)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            sssp(g, 0)
+
     def test_unreachable_is_inf(self):
         g = from_edge_list([(0, 1), (2, 3)])
         res = bsp_sssp(g, 0)

@@ -20,6 +20,7 @@ Three layers, each with a failing fixture:
 """
 
 import json
+import pickle
 import struct
 import textwrap
 import warnings
@@ -519,25 +520,39 @@ class _Loopback:
 
 I64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 
+#: The task frames a worker serves, as the tuples they carry.
+TASKS = st.tuples(
+    st.sampled_from(["scatter", "gather", "deliver"]),
+    I64,
+    st.lists(I64, max_size=64).map(
+        lambda ids: np.array(ids, dtype=np.int64)
+    ),
+    st.sampled_from(["sparse", "dense", "complement"]),
+)
+
 #: Every frame kind of ``repro.bsp._wire``, as the tuple it carries.
 FRAMES = st.one_of(
-    st.tuples(
-        st.sampled_from(["scatter", "gather"]),
-        I64,
-        st.lists(I64, max_size=64).map(
-            lambda ids: np.array(ids, dtype=np.int64)
-        ),
-        st.sampled_from(["sparse", "dense"]),
-    ),
+    TASKS,
     st.lists(I64, max_size=255).map(lambda ints: ("ok", *ints)),
     st.tuples(st.just("error"), st.text()),
-    # The run frame's body is whatever pickles: program, block names.
-    st.tuples(
-        st.just("run"), st.binary(), st.text(), st.text(), st.text(),
-        st.none() | st.text(),
-    ),
+    # A run frame: the run's install (opaque pickled bytes), then the
+    # worker's first task of the run.
+    st.tuples(st.just("run"), st.binary(), TASKS),
     st.just(("close",)),
 )
+
+
+def assert_same_frame(want, have):
+    """``have`` is ``want`` decoded: id arrays as int64, nested tasks too."""
+    assert len(have) == len(want)
+    for w, h in zip(want, have):
+        if isinstance(w, np.ndarray):
+            assert h.dtype == np.int64
+            np.testing.assert_array_equal(h, w)
+        elif isinstance(w, tuple):
+            assert_same_frame(w, h)
+        else:
+            assert h == w
 
 
 class TestWireValidation:
@@ -556,13 +571,7 @@ class TestWireValidation:
         sent = wire.send(conn, msg)
         got, received = wire.recv(conn)
         assert sent == received
-        assert len(got) == len(msg)
-        for want, have in zip(msg, got):
-            if isinstance(want, np.ndarray):
-                assert have.dtype == np.int64
-                np.testing.assert_array_equal(have, want)
-            else:
-                assert have == want
+        assert_same_frame(msg, got)
 
     def test_ok_reply_is_read_by_name(self):
         """Replies with and without an arc count go through one reader."""
@@ -609,6 +618,16 @@ class TestWireValidation:
     def test_run_frame_bad_pickle(self):
         with pytest.raises(WireFormatError, match="unpickle"):
             self.decode(bytes([0x01]) + b"not-a-pickle")
+
+    def test_run_frame_must_carry_a_task(self):
+        """A run frame's second part is the worker's first task: a body
+        of another shape, or a non-task inner frame, is a protocol error."""
+        for body in (("install",), (b"install", "frame"), [b"a", b"b"]):
+            with pytest.raises(WireFormatError, match="install, task"):
+                self.decode(bytes([0x01]) + pickle.dumps(body))
+        inner = PackedWire._encode(("close",))
+        with pytest.raises(WireFormatError, match="close frame, not a task"):
+            self.decode(bytes([0x01]) + pickle.dumps((b"install", inner)))
 
 
 # -- sharded write-race detector --------------------------------------------

@@ -627,6 +627,39 @@ class TestFailureRule:
         finally:
             self.assert_close_is_bounded(engine)
 
+    def test_killed_worker_surfaces_at_the_next_run_that_fans_out(
+        self, graph, tmp_path, monkeypatch
+    ):
+        """A run installs itself with its first exchange, so a worker
+        SIGKILLed between runs goes unseen by a run the parent keeps,
+        and is a typed error at the first run that reaches the workers;
+        the engine is then desynchronised."""
+        dense = DenseBSPEngine(graph).run(DenseConnectedComponents())
+        engine = ShardedBSPEngine(
+            graph, num_workers=2, flight_recorder=_make_recorder(tmp_path)
+        )
+        try:
+            engine.run(DenseConnectedComponents())
+            os.kill(engine.worker_status()[1]["pid"], signal.SIGKILL)
+            while engine.workers_alive == 2:
+                time.sleep(0.01)
+            monkeypatch.setattr(parallel, "_LOCAL_SUPERSTEP_ARCS", 1 << 40)
+            sent = engine.pipe_bytes
+            assert_results_equal(dense, engine.run(DenseConnectedComponents()))
+            assert engine.pipe_bytes == sent
+            monkeypatch.setattr(parallel, "_LOCAL_SUPERSTEP_ARCS", 0)
+            with pytest.raises(ShardedWorkerError) as excinfo:
+                engine.run(DenseConnectedComponents())
+            first = excinfo.value
+            assert "worker process died" in first.worker_tracebacks[1]
+            bundle = load_postmortem(
+                tmp_path / "postmortem", first.postmortem_id
+            )
+            assert bundle["reason"] == "worker_crash"
+            self.assert_desynchronised(engine, first)
+        finally:
+            self.assert_close_is_bounded(engine)
+
     def test_default_engine_never_hangs_on_a_stopped_worker(
         self, graph, tmp_path, monkeypatch
     ):

@@ -36,7 +36,7 @@ from repro.bsp import (
 )
 from repro.bsp import _worker, parallel
 from repro.bsp._scatter import arcs_from
-from repro.bsp._wire import PackedWire, WireFormatError, make_wire
+from repro.bsp._wire import PackedWire, WireFormatError, make_wire, pack_install
 from repro.bsp.frontier import (
     COMPLEMENT,
     DENSE,
@@ -829,7 +829,9 @@ class TestFrontierTelemetry:
         counted = [c for c in tel.counters if c.name == "pipe_bytes"]
         assert len(counted) == len(tel.spans_named("barrier"))
         assert all(c.value > 0 and c.superstep >= 0 for c in counted)
-        assert 0 < sum(c.value for c in counted) < traced  # + run frames
+        # The run's install rides on each worker's first task: every
+        # frame belongs to a recorded barrier.
+        assert sum(c.value for c in counted) == traced
         assert "pipe_bytes_legacy" not in {c.name for c in tel.counters}
 
 
@@ -850,6 +852,29 @@ def frame_bytes(msg):
     sink = Sink()
     assert PackedWire().send(sink, msg) == sink.size
     return sink.size
+
+
+def install_surcharge(engine, make_program):
+    """Bytes a worker's ``run`` frame adds to the 18-byte task frame it
+    carries: the install of ``make_program()`` as a run on ``engine``
+    begins (after ``initial_values``), under the engine's block names."""
+    program = make_program()
+    values = np.asarray(program.initial_values(engine.graph))
+    blocks = engine._run_blocks
+    install = pack_install(
+        program,
+        blocks["values"].name,
+        values.dtype.str,
+        blocks["gathered"].name,
+        blocks["shadow"].name if engine.check else None,
+    )
+    task = ("scatter", 0, np.empty(0, dtype=np.int64), SPARSE)
+    return frame_bytes(("run", install, task)) - frame_bytes(task)
+
+
+def workers_reached(tel):
+    """The workers that served a task under ``tel``."""
+    return {s.args["worker"] for s in tel.spans if s.category == "worker"}
 
 
 class TestWireFraming:
@@ -900,28 +925,31 @@ class TestWireFraming:
     def test_pipe_bytes_are_the_sum_of_the_frames(
         self, medium_graph, make_program, monkeypatch
     ):
-        """``pipe_bytes`` after one fanned-out run: the run frames, and
-        per recorded barrier one task frame and one reply per
-        participant.  Neither frame carries sender ids (a scatter's
-        senders are in the shared bitmap), so every one is 18 bytes
-        however many of the shard's vertices send."""
+        """``pipe_bytes`` after one fanned-out run: per recorded barrier
+        one task frame and one reply per participant, each worker's first
+        task inside a ``run`` frame with the run's install.  No task frame
+        carries sender ids (a scatter's senders are in the shared
+        bitmap), so every one is 18 bytes however many of the shard's
+        vertices send."""
         dense = DenseBSPEngine(medium_graph).run(make_program())
         tel = Telemetry("pins")
         with ShardedBSPEngine(medium_graph, num_workers=2) as engine:
-            # A run kept in the parent exchanges its run frames only.
+            # A run kept in the parent sends nothing, not even its install.
             monkeypatch.setattr(parallel, "_LOCAL_SUPERSTEP_ARCS", 1 << 40)
             engine.run(make_program())
-            run_frames = engine.pipe_bytes
+            assert engine.pipe_bytes == 0
             monkeypatch.setattr(parallel, "_LOCAL_SUPERSTEP_ARCS", 0)
             engine.telemetry = tel
             sharded = engine.run(make_program())
-            fanned_out = engine.pipe_bytes - run_frames
+            fanned_out = engine.pipe_bytes
+            surcharge = install_surcharge(engine, make_program)
         assert_results_equal(dense, sharded)
         senders = {}  # superstep -> sender count of each worker's shard
         for c in tel.counters:
             if c.name == "shard_senders":
                 senders.setdefault(c.superstep, []).append(c.value)
-        expected = run_frames
+        assert workers_reached(tel) == {0, 1}
+        expected = 2 * surcharge
         barriers = tel.spans_named("barrier")
         for span in barriers:
             if span.args["phase"] == "scatter":
@@ -936,7 +964,7 @@ class TestWireFraming:
         """A deliver frame has the scatter/gather header and no ids; a
         fanned-out PageRank run, whose every round floods every arc,
         exchanges nothing else: one deliver and one reply per worker per
-        round."""
+        round, the first round's inside each worker's ``run`` frame."""
         wire = PackedWire()
         empty = np.empty(0, dtype=np.int64)
         for code, mode in enumerate((SPARSE, DENSE, COMPLEMENT)):
@@ -950,25 +978,30 @@ class TestWireFraming:
         assert frame_bytes(("deliver", 9, np.arange(7), SPARSE)) == 18 + 56
         graph = rmat(scale=8, edge_factor=8, seed=7)
         tel = Telemetry("deliver")
+
+        def make_program():
+            return DensePageRank(num_supersteps=4)
+
         with ShardedBSPEngine(
             graph, num_workers=2, aggregators={"dangling": SumAggregator()}
         ) as engine:
             monkeypatch.setattr(parallel, "_LOCAL_SUPERSTEP_ARCS", 1 << 40)
-            engine.run(DensePageRank(num_supersteps=4))
-            run_frames = engine.pipe_bytes
+            engine.run(make_program())
+            assert engine.pipe_bytes == 0
             monkeypatch.setattr(parallel, "_LOCAL_SUPERSTEP_ARCS", 0)
             engine.telemetry = tel
-            engine.run(DensePageRank(num_supersteps=4))
-            fanned_out = engine.pipe_bytes - run_frames
+            engine.run(make_program())
+            fanned_out = engine.pipe_bytes
+            surcharge = install_surcharge(engine, make_program)
         barriers = tel.spans_named("barrier")
         assert [(s.args["phase"], s.superstep) for s in barriers] == [
             ("gather", s) for s in range(1, 5)
         ]
         per_round = 2 * (18 + TASK_REPLY_BYTES)
-        assert fanned_out == run_frames + 4 * per_round
+        assert fanned_out == 4 * per_round + 2 * surcharge
         assert sum(
             c.value for c in tel.counters if c.name == "pipe_bytes"
-        ) == 4 * per_round
+        ) == fanned_out
 
     @pytest.mark.usefixtures("fan_out_every_superstep")
     def test_pipe_bytes_are_independent_of_scale(self):

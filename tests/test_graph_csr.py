@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph import CSRGraph, from_edge_list
-from repro.graph.csr import OFFSET_DTYPE, VERTEX_DTYPE
+from repro.graph.csr import OFFSET_DTYPE, VERTEX_DTYPE, check_weights
 
 
 def triangle_graph():
@@ -168,6 +168,17 @@ class TestWeighted:
         g = from_edge_list([(0, 1)], weights=[1.0])
         with pytest.raises(IndexError):
             g.edge_weights(5)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, -np.inf])
+    def test_check_weights_rejects_negative_nan_and_infinite(self, bad):
+        g = from_edge_list([(0, 1), (1, 2)], weights=[bad, 1.0])
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            check_weights(g)
+
+    def test_check_weights_passes_good_and_missing_weights(self):
+        check_weights(triangle_graph())
+        check_weights(from_edge_list([(0, 1), (1, 2)], weights=[0.0, 2.5]))
+        check_weights(from_edge_list([], num_vertices=3, weights=[]))
 
 
 class TestReverse:

@@ -44,6 +44,7 @@ from repro.bsp import (
     make_engine,
     parallel,
 )
+from repro.bsp._scatter import arcs_from
 from repro.bsp.frontier import source_values
 from repro.bsp_algorithms import (
     BSPBreadthFirstSearch,
@@ -54,10 +55,12 @@ from repro.bsp_algorithms import (
     DenseKCore,
     DensePageRank,
     DenseShortestPaths,
+    bsp_sssp,
 )
 from repro.bsp_algorithms.bfs import UNREACHED
 from repro.graph import from_edge_list, rmat, star_graph, two_d_grid
 from repro.telemetry.core import MAIN_TRACK, Telemetry
+from repro.telemetry.flightrec import EV_PROGRESS, PH_SCATTER
 from tests.test_dense_engine import assert_results_equal
 
 WORKER_COUNTS = [
@@ -356,7 +359,7 @@ def layout_partition(request, layout_graph, num_workers):
 def _shards(engine):
     """In-process twins of the engine's workers, built as they build
     themselves: from the pool's spec (a twin attaches worker ``w``'s
-    ring, but only a gather would record to it)."""
+    ring, and its scatters and gathers record progress ticks to it)."""
     return [
         _worker._Shard(dict(engine._pool.spec, worker_index=w))
         for w in range(engine.num_workers)
@@ -430,6 +433,41 @@ class TestShardLayout:
                 assert not np.array_equal(hist[w], shard.graph.in_degrees())
             for shard in shards:
                 shard.close()
+
+    @pytest.mark.parametrize("mode", ["dense", "sparse", "complement"])
+    def test_scatter_ticks_per_histogram_chunk(self, mode, monkeypatch):
+        """A scatter is not one silent pass: a progress tick follows the
+        selection and each chunk of max(_HISTOGRAM_CHUNK_ARCS, n)
+        counted arcs (a complement's first also counts the whole shard
+        once), and the chunked histogram is the one-pass ``bincount``."""
+        monkeypatch.setattr(_worker, "_HISTOGRAM_CHUNK_ARCS", 1)
+        g = LAYOUT_GRAPHS["rmat7"]()
+        n = g.num_vertices
+        with ShardedBSPEngine(g, num_workers=2) as engine:
+            hist, marked = engine._pool.arrays["hist"], engine._senders
+            shard = _shards(engine)[0]
+            senders = np.flatnonzero(shard.owned)
+            marked[:] = False
+            marked[senders[1:]] = True  # all but one sender
+            mine = shard.scatter(5, mode)
+            selected = np.bincount(
+                shard.graph.col_idx[~arcs_from(senders[:1], shard.graph.row_ptr)],
+                minlength=n,
+            )
+            assert mine == selected.sum() and np.array_equal(hist[0], selected)
+            ticks = [
+                (r.a, r.b) for r in engine.flight_recorder.events(0)
+                if r.kind == EV_PROGRESS and r.phase == PH_SCATTER and r.step == 5
+            ]
+            counted = shard.left_out.size if mode == "complement" else mine
+            passes = [counted] if mode != "complement" else [
+                shard.graph.num_arcs, counted
+            ]
+            expected = [(0, shard.dst.size)]
+            for total in passes:
+                expected += [(min(end, total), total) for end in range(n, total + n - 1, n)]
+            assert ticks == expected and len(ticks) > 3
+            shard.close()
 
     @pytest.mark.usefixtures("fan_out_every_superstep")
     @pytest.mark.parametrize("check", [False, True], ids=["plain", "check"])
@@ -753,20 +791,20 @@ class TestLocalSupersteps:
         self, rmat8, monkeypatch
     ):
         """A flood *at* the threshold stays in the parent: no barrier
-        span and not one byte on the pipes beyond the run frame; one arc
-        more and it fans out."""
+        span and not one byte on the pipes (the run's install rides on a
+        first exchange that never comes); one arc more and it fans out."""
         largest = rmat8.num_arcs  # CC's superstep 0 floods every arc
         with ShardedBSPEngine(rmat8, num_workers=2) as engine:
             monkeypatch.setattr(parallel, "_LOCAL_SUPERSTEP_ARCS", largest)
             engine.telemetry = local_tel = Telemetry("local")
             engine.run(DenseConnectedComponents())
-            run_frame_bytes = engine.pipe_bytes
+            assert engine.pipe_bytes == 0
             monkeypatch.setattr(
                 parallel, "_LOCAL_SUPERSTEP_ARCS", largest - 1
             )
             engine.telemetry = split_tel = Telemetry("split")
             engine.run(DenseConnectedComponents())
-            split_bytes = engine.pipe_bytes - run_frame_bytes
+            split_bytes = engine.pipe_bytes
         assert set(_local_decisions(local_tel).values()) == {1}
         assert not local_tel.spans_named("barrier")
         assert not [c for c in local_tel.counters if c.name == "pipe_bytes"]
@@ -781,7 +819,7 @@ class TestLocalSupersteps:
             c.value for c in split_tel.counters if c.name == "pipe_bytes"
         )
         assert exchanged > 0
-        assert split_bytes == run_frame_bytes + exchanged
+        assert split_bytes == exchanged
 
     def test_barriers_follow_the_decision(self, rmat8, monkeypatch):
         monkeypatch.setattr(parallel, "_LOCAL_SUPERSTEP_ARCS", THRESHOLDS[1])
@@ -1079,3 +1117,198 @@ class TestEngineSelection:
                 ShardedBSPEngine(star_graph(4), flight_recorder=switch)
         with pytest.raises(ValueError, match="stall_timeout"):
             ShardedBSPEngine(star_graph(4), stall_timeout=0)
+
+
+# -- unit-weight SSSP runs as BFS ------------------------------------------
+
+
+def _distance_flood(graph, source):
+    """What ``bsp_sssp`` computed before it ran unit weights as BFS: the
+    distance flood, folding its inbox every superstep, on a dense engine."""
+    return DenseBSPEngine(graph).run(
+        DenseShortestPaths(source),
+        max_supersteps=graph.num_vertices + 1,
+        trace_label="bsp/sssp",
+    )
+
+
+def _assert_same_sssp(flood, result):
+    """Bit for bit: float64 distances (``inf`` unreached), supersteps,
+    per-superstep counts and the work trace."""
+    assert result.distances.dtype == np.float64
+    assert result.distances.tobytes() == flood.values.tobytes()
+    assert result.num_supersteps == flood.num_supersteps
+    assert result.active_per_superstep == flood.active_per_superstep
+    assert result.messages_per_superstep == flood.messages_per_superstep
+    assert result.trace == flood.trace
+
+
+SSSP_GRAPHS = {
+    "rmat8": lambda: rmat(scale=8, edge_factor=8, seed=7),
+    "isolated": lambda: from_edge_list([(0, 1), (2, 3)], num_vertices=7),
+    "directed": lambda: from_edge_list(
+        [(0, 1), (1, 2), (2, 0), (2, 3), (4, 0)], directed=True
+    ),
+}
+
+
+class TestUnitWeightSSSP:
+    """On an unweighted graph every message of superstep ``s`` is ``s``,
+    so ``bsp_sssp`` runs Algorithm 2's receiver filter: the distance
+    flood's numbers, with no inbox ever folded."""
+
+    @pytest.mark.parametrize("name", sorted(SSSP_GRAPHS))
+    def test_dense_matches_the_distance_flood(self, name):
+        graph = SSSP_GRAPHS[name]()
+        for source in (0, 1, graph.num_vertices - 1):
+            _assert_same_sssp(
+                _distance_flood(graph, source), bsp_sssp(graph, source)
+            )
+
+    @pytest.mark.parametrize("check", [False, True], ids=["plain", "check"])
+    @pytest.mark.parametrize("partition", POLICIES)
+    @pytest.mark.parametrize("num_workers", [1, 2, 4], ids=lambda w: f"w{w}")
+    @pytest.mark.parametrize("threshold", [0, None], ids=["fan-out", "default"])
+    def test_sharded_matches_the_distance_flood(
+        self, num_workers, partition, check, threshold, monkeypatch
+    ):
+        if threshold is not None:
+            monkeypatch.setattr(parallel, "_LOCAL_SUPERSTEP_ARCS", threshold)
+        for name in sorted(SSSP_GRAPHS):
+            graph = SSSP_GRAPHS[name]()
+            with ShardedBSPEngine(
+                graph, num_workers=num_workers, partition=partition,
+                check=check,
+            ) as engine:
+                for source in (0, graph.num_vertices - 1):
+                    _assert_same_sssp(
+                        _distance_flood(graph, source),
+                        bsp_sssp(graph, source, engine=engine),
+                    )
+
+    @pytest.mark.usefixtures("fan_out_every_superstep")
+    @pytest.mark.parametrize("check", [False, True], ids=["plain", "check"])
+    def test_sharded_run_records_no_gather_or_deliver_barrier(self, check):
+        graph = SSSP_GRAPHS["rmat8"]()
+        tel = Telemetry("unit")
+        with ShardedBSPEngine(
+            graph, num_workers=2, check=check, telemetry=tel
+        ) as engine:
+            bsp_sssp(graph, 0, engine=engine)
+        phases = [s.args["phase"] for s in tel.spans_named("barrier")]
+        # A deliver exchange is a "gather" barrier too.
+        assert phases and set(phases) == {"scatter"}
+
+    def test_dense_run_records_no_deliver_span(self):
+        graph = SSSP_GRAPHS["rmat8"]()
+        tel = Telemetry("unit")
+        bsp_sssp(graph, 0, engine=DenseBSPEngine(graph, telemetry=tel))
+        assert tel.spans_named("scatter") and not tel.spans_named("deliver")
+
+    @pytest.mark.usefixtures("fan_out_every_superstep")
+    def test_weighted_sssp_still_gathers(self):
+        """Weights keep the distance flood: it reads its inbox, so the
+        dense engine delivers and the sharded one gathers."""
+        graph = LAYOUT_GRAPHS["directed-weighted"]()
+        flood = _distance_flood(graph, 0)
+        dense_tel, sharded_tel = Telemetry("dense"), Telemetry("sharded")
+        dense = bsp_sssp(
+            graph, 0, engine=DenseBSPEngine(graph, telemetry=dense_tel)
+        )
+        with ShardedBSPEngine(
+            graph, num_workers=2, telemetry=sharded_tel
+        ) as engine:
+            sharded = bsp_sssp(graph, 0, engine=engine)
+        for result in (dense, sharded):
+            _assert_same_sssp(flood, result)
+        assert dense_tel.spans_named("deliver")
+        assert _barriers(sharded_tel, "gather")
+
+
+# -- a run installs itself with its first exchange -------------------------
+
+
+def _recorded_frames(engine, monkeypatch):
+    """``[(worker, command, inner command)]`` of every task frame the
+    engine's pool sends from now on (the inner command is a run frame's
+    task, else None)."""
+    wire, conns = engine._pool._wire, engine._pool._conns
+    sent = []
+    send = wire.send
+
+    def recording_send(conn, msg):
+        inner = msg[2][0] if msg[0] == "run" else None
+        sent.append((conns.index(conn), msg[0], inner))
+        return send(conn, msg)
+
+    monkeypatch.setattr(wire, "send", recording_send)
+    return sent
+
+
+class TestLazyInstall:
+    """No ``run`` exchange: each worker's first task of a run carries the
+    run's install, and a run kept in the parent sends nothing."""
+
+    @pytest.fixture(scope="class")
+    def rmat8(self):
+        return GRAPHS["rmat8"]()
+
+    def test_a_local_run_sends_nothing(self, rmat8, monkeypatch):
+        monkeypatch.setattr(parallel, "_LOCAL_SUPERSTEP_ARCS", 1 << 40)
+        with ShardedBSPEngine(rmat8, num_workers=2) as engine:
+            sent = _recorded_frames(engine, monkeypatch)
+            for make_program, _, _ in ALGORITHMS.values():
+                engine.run(make_program())
+            assert engine.pipe_bytes == 0 and sent == []
+            # After a run that reached the workers, too.
+            monkeypatch.setattr(parallel, "_LOCAL_SUPERSTEP_ARCS", 0)
+            engine.run(DenseConnectedComponents())
+            fanned_out = engine.pipe_bytes
+            monkeypatch.setattr(parallel, "_LOCAL_SUPERSTEP_ARCS", 1 << 40)
+            sent.clear()
+            engine.run(DenseBreadthFirstSearch(0))
+            assert engine.pipe_bytes == fanned_out and sent == []
+
+    @pytest.mark.usefixtures("fan_out_every_superstep")
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_each_worker_is_installed_once_per_run_by_its_first_task(
+        self, rmat8, algorithm, monkeypatch
+    ):
+        make_program, engine_kwargs, float_values = ALGORITHMS[algorithm]
+        dense = DenseBSPEngine(rmat8, **engine_kwargs).run(make_program())
+        with ShardedBSPEngine(rmat8, num_workers=3, **engine_kwargs) as engine:
+            sent = _recorded_frames(engine, monkeypatch)
+            for _ in range(2):
+                sent.clear()
+                result = engine.run(make_program())
+                assert_results_equal(dense, result, float_values=float_values)
+                firsts = {}
+                for w, cmd, inner in sent:
+                    firsts.setdefault(w, (cmd, inner))
+                # Every worker's first frame of the run, and only that
+                # one, is a run frame; it carries a task that selects.
+                assert sorted(firsts) == [0, 1, 2]
+                assert sorted(w for w, cmd, _ in sent if cmd == "run") == [0, 1, 2]
+                assert {cmd for cmd, _ in firsts.values()} == {"run"}
+                assert {inner for _, inner in firsts.values()} <= {
+                    "scatter", "deliver"
+                }
+
+    @pytest.mark.usefixtures("fan_out_every_superstep")
+    def test_a_worker_a_run_never_reaches_is_not_installed(self, monkeypatch):
+        """BFS from a vertex whose component lies in one shard: the other
+        worker gets no frame at all, and the next run installs it."""
+        graph = from_edge_list([(0, 1), (1, 2), (3, 4), (4, 5)])
+        assignment = np.array([0, 0, 0, 1, 1, 1])
+        with ShardedBSPEngine(
+            graph, num_workers=2, partition=assignment
+        ) as engine:
+            sent = _recorded_frames(engine, monkeypatch)
+            dense = DenseBSPEngine(graph).run(DenseBreadthFirstSearch(0))
+            assert_results_equal(dense, engine.run(DenseBreadthFirstSearch(0)))
+            assert {w for w, _, _ in sent} == {0}
+            sent.clear()
+            dense = DenseBSPEngine(graph).run(DenseBreadthFirstSearch(5))
+            assert_results_equal(dense, engine.run(DenseBreadthFirstSearch(5)))
+            assert [(w, cmd) for w, cmd, _ in sent][:1] == [(1, "run")]
+            assert {w for w, _, _ in sent} == {1}
